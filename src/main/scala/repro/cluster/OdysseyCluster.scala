@@ -57,18 +57,16 @@ object OdysseyCluster {
     require(part.nChunks == layout.nChunks, "partitioner chunk count mismatch")
     val chunkOf = part.chunkOf _
 
-    // Stages 1-2-4 (measurement): LOCAL pass, then SHARED pass if the BSF
-    // channel is on and there is more than one group to share across.
-    val local = DistributedSearch.run(spark, spec, chunkOf, queries, cfg.params,
-                                      cfg.indexConfig, Map.empty, cfg.thresholds)
-    val reports =
-      if (cfg.bsfShare && layout.nChunks > 1) {
-        val bounds = local.flatMap(_.queries)
-          .groupBy(_.qid)
-          .view.mapValues(_.map(_.approxBsf).min).toMap
-        DistributedSearch.run(spark, spec, chunkOf, queries, cfg.params,
-                              cfg.indexConfig, bounds, cfg.thresholds)
-      } else local
+    // Stages 1-2-4 (measurement): one index per chunk, built once. With the
+    // BSF channel on and more than one group to share across, an
+    // approximate-only job yields each query's best initial BSF, which the
+    // exact search on every chunk then starts from.
+    val reports = DistributedSearch.withIndexes(spark, spec, chunkOf, cfg.indexConfig) { indexes =>
+      val bounds =
+        if (cfg.bsfShare && layout.nChunks > 1) DistributedSearch.approxBounds(indexes, queries, cfg.params)
+        else Map.empty[Int, Double]
+      DistributedSearch.answer(indexes, queries, cfg.params, bounds, cfg.thresholds)
+    }
 
     // Stage 5: exact global answers by merging per-chunk top-k lists.
     val answers = DistributedSearch.mergeAnswers(reports, cfg.params.k)
@@ -100,8 +98,9 @@ object OdysseyCluster {
     RunResult(cfg, answers, bufferSecs, treeSecs, worstGroup, indexBytes, steals, reports)
   }
 
-  /** Rehydrate a [[repro.index.QueryRun]]-shaped record from a stats row
-    * (only the fields the simulator consumes).
+  /** Rehydrate a [[repro.index.QueryRun]]-shaped record from a stats row.
+    * Every touched leaf lands in exactly one priority queue, so the queues'
+    * leaf counts sum to the leaves touched.
     */
   private def toRun(qs: QueryStatRow): repro.index.QueryRun =
     repro.index.QueryRun(
@@ -109,7 +108,8 @@ object OdysseyCluster {
       approxBsf = qs.approxBsf, approxOps = qs.approxOps,
       batchOps = qs.batchOps.toArray,
       pqStats = qs.tasks.iterator.map(t => repro.index.PqStat(t.batchId, t.topLb, t.leaves, t.procOps)).toArray,
-      totalOps = qs.totalOps, nLeavesTouched = 0L, nRealDists = qs.nRealDists)
+      totalOps = qs.totalOps, nLeavesTouched = qs.tasks.iterator.map(_.leaves.toLong).sum,
+      nRealDists = qs.nRealDists)
 
   /** Fit the paper's linear cost predictor (Fig. 4) on training queries run
     * against a FULL (single-chunk) index of the collection.

@@ -1,9 +1,12 @@
 package repro.spark
 
+import scala.collection.mutable
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
+import org.apache.spark.storage.StorageLevel
 import repro.core.Cost
 import repro.core.SeriesGen.DatasetSpec
-import repro.index.{IndexConfig, IsaxIndex, Search, SearchParams}
+import repro.index.{BuildStats, IndexConfig, IsaxIndex, QueryCtx, QueryRun, Search, SearchParams}
 import repro.index.ThresholdModel.SigmoidFit
 
 /** One processed priority queue, flattened for the driver. */
@@ -22,16 +25,34 @@ final case class QueryStatRow(
   def bestId: Long = if (topKIds.isEmpty) -1L else topKIds.head
 }
 
+object QueryStatRow {
+  /** The row of one chunk's exact search for query `qid`. */
+  def of(chunk: Int, qid: Int, run: QueryRun): QueryStatRow =
+    QueryStatRow(chunk, qid,
+      topKDists = run.topK.map(_._1), topKIds = run.topK.map(_._2),
+      approxBsf = run.approxBsf, approxOps = run.approxOps,
+      batchOps = run.batchOps.toSeq,
+      tasks = run.pqStats.iterator.map(s => PqTaskRow(s.batchId, s.topLb, s.leaves, s.procOps)).toSeq,
+      totalOps = run.totalOps, nRealDists = run.nRealDists)
+}
+
 /** Per-chunk index build measurement. */
 final case class BuildStatRow(chunk: Int, nSeries: Long, bufferOps: Long, treeOps: Long,
                               indexBytes: Long, nLeaves: Int, nInner: Int, nRoots: Int)
 
+object BuildStatRow {
+  def of(chunk: Int, bs: BuildStats): BuildStatRow =
+    BuildStatRow(chunk, bs.nSeries, bs.bufferOps, bs.treeOps, bs.indexBytes, bs.nLeaves, bs.nInner, bs.nRoots)
+}
+
 final case class ChunkReport(build: BuildStatRow, queries: Seq[QueryStatRow])
 
 /** The distributed dataflow (stages 1-2-4 of Fig. 3): the partitioned
-  * collection flows through a Dataset; each chunk group builds its iSAX
-  * index and answers the whole broadcast query batch with the index-pruned
-  * exact search, emitting answers and op breakdowns. Stage-3 scheduling and
+  * collection is shuffled to its chunks once, each chunk builds its iSAX
+  * index once, and the cached indexes answer the broadcast query batch with
+  * the index-pruned exact search, emitting answers and op breakdowns. When
+  * BSF sharing is on, an approximate-only job over the same cached indexes
+  * first yields each query's best initial BSF. Stage-3 scheduling and
   * stage-5 merging happen on the driver ([[repro.cluster.OdysseyCluster]]).
   */
 object DistributedSearch {
@@ -47,34 +68,71 @@ object DistributedSearch {
           queries: Array[Array[Double]], params: SearchParams,
           indexConfig: IndexConfig = IndexConfig(),
           startBounds: Map[Int, Double] = Map.empty,
-          thresholds: Option[(SigmoidFit, Double)] = None): Seq[ChunkReport] = {
+          thresholds: Option[(SigmoidFit, Double)] = None): Seq[ChunkReport] =
+    withIndexes(spark, spec, chunkOf, indexConfig)(answer(_, queries, params, startBounds, thresholds))
+
+  /** Build the chunk indexes, hand them to `use`, and release them
+    * afterwards, also when `use` throws.
+    */
+  def withIndexes[T](spark: SparkSession, spec: DatasetSpec, chunkOf: Long => Int,
+                     indexConfig: IndexConfig)(use: RDD[(Int, IsaxIndex)] => T): T = {
+    val indexes = buildIndexes(spark, spec, chunkOf, indexConfig)
+    try use(indexes) finally indexes.unpersist(blocking = true)
+  }
+
+  /** Generate the collection, shuffle each series to its chunk, and build
+    * one index per chunk, cached in memory by the first job that uses it.
+    * Each chunk's series reach `IsaxIndex.build` in the order they arrive,
+    * which is ascending id: the generator's partitions are contiguous id
+    * ranges, shuffle blocks are read in map order, and the grouping below
+    * keeps arrival order. Leaf entry order, and so every op count, depends
+    * on it.
+    */
+  private def buildIndexes(spark: SparkSession, spec: DatasetSpec, chunkOf: Long => Int,
+                           indexConfig: IndexConfig): RDD[(Int, IsaxIndex)] = {
     import spark.implicits._
-    val qs = queries // local val: avoid closing over anything non-serializable
-    val reports = SeriesFrame.seriesDs(spark, spec, chunkOf)
-      .groupByKey(_.chunk)
-      .flatMapGroups { (chunk: Int, it: Iterator[SeriesRow]) =>
-        val buildCost = new Cost
-        val index = IsaxIndex.build(it.map(r => (r.id, r.values)), indexConfig, buildCost)
-        val bs = index.buildStats
-        val build = BuildStatRow(chunk, bs.nSeries, bs.bufferOps, bs.treeOps,
-                                 bs.indexBytes, bs.nLeaves, bs.nInner, bs.nRoots)
-        val thFn: Double => Int = thresholds match {
-          case Some((fit, factor)) => bsf => repro.index.ThresholdModel.thresholdFor(fit, bsf, factor)
-          case None                => null
-        }
-        val queryRows = qs.indices.map { qid =>
-          val run = Search.exact(index, qs(qid), params,
-                                 startBound = startBounds.getOrElse(qid, Double.PositiveInfinity),
-                                 thresholdOf = thFn)
-          QueryStatRow(chunk, qid,
-            topKDists = run.topK.map(_._1), topKIds = run.topK.map(_._2),
-            approxBsf = run.approxBsf, approxOps = run.approxOps,
-            batchOps = run.batchOps.toSeq,
-            tasks = run.pqStats.iterator.map(s => PqTaskRow(s.batchId, s.topLb, s.leaves, s.procOps)).toSeq,
-            totalOps = run.totalOps, nRealDists = run.nRealDists)
-        }
-        Iterator.single(ChunkReport(build, queryRows))
+    SeriesFrame.seriesDs(spark, spec, chunkOf)
+      .repartition($"chunk")
+      .rdd
+      .mapPartitions { rows =>
+        val chunks = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[(Long, Array[Double])]]
+        rows.foreach(r => chunks.getOrElseUpdate(r.chunk, mutable.ArrayBuffer.empty) += ((r.id, r.values)))
+        chunks.iterator.map { case (chunk, series) => chunk -> IsaxIndex.build(series.iterator, indexConfig) }
       }
+      .persist(StorageLevel.MEMORY_ONLY)
+  }
+
+  /** Each query's best initial BSF over all chunks: the approximate search
+    * alone per (chunk, query), then the minimum per qid on the driver.
+    */
+  def approxBounds(indexes: RDD[(Int, IsaxIndex)], queries: Array[Array[Double]],
+                   params: SearchParams): Map[Int, Double] = {
+    val qs = queries // local val: avoid closing over anything non-serializable
+    val perChunk = indexes.map { case (_, index) =>
+      qs.map { q =>
+        val ctx = new QueryCtx(q, params.mode, index.config.w, index.segSizes)
+        Search.approx(index, ctx, new Cost, params.k).bound
+      }
+    }.collect()
+    qs.indices.map(qid => qid -> perChunk.map(_(qid)).min).toMap
+  }
+
+  /** Answer `queries` exactly on every cached chunk index. */
+  def answer(indexes: RDD[(Int, IsaxIndex)], queries: Array[Array[Double]], params: SearchParams,
+             startBounds: Map[Int, Double],
+             thresholds: Option[(SigmoidFit, Double)]): Seq[ChunkReport] = {
+    val qs = queries
+    val reports = indexes.map { case (chunk, index) =>
+      val thFn: Double => Int = thresholds match {
+        case Some((fit, factor)) => bsf => repro.index.ThresholdModel.thresholdFor(fit, bsf, factor)
+        case None                => null
+      }
+      val queryRows = qs.indices.map { qid =>
+        QueryStatRow.of(chunk, qid, Search.exact(index, qs(qid), params,
+          startBound = startBounds.getOrElse(qid, Double.PositiveInfinity), thresholdOf = thFn))
+      }
+      ChunkReport(BuildStatRow.of(chunk, index.buildStats), queryRows)
+    }
       .collect()
       .toSeq
       .sortBy(_.build.chunk)

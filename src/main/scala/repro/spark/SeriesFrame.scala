@@ -44,14 +44,14 @@ object SeriesFrame {
   }
 
   /** DuckDB SQL computing exact 1-NN distances per query by brute force
-    * over the exploded tables (`series`, `queries`). All oracle columns
-    * are VARCHAR, hence the casts.
+    * over the exploded tables (`series`, `queries`), loaded with the Spark
+    * column types (BIGINT / INTEGER / DOUBLE).
     */
   val BruteForceNnSql: String =
     """SELECT qid, MIN(dist) AS nndist FROM (
       |  SELECT q.qid AS qid, s.id AS id,
-      |         SQRT(SUM(POWER(CAST(s.val AS DOUBLE) - CAST(q.val AS DOUBLE), 2))) AS dist
-      |  FROM series s JOIN queries q ON CAST(s.pos AS INT) = CAST(q.pos AS INT)
+      |         SQRT(SUM(POWER(s.val - q.val, 2))) AS dist
+      |  FROM series s JOIN queries q ON s.pos = q.pos
       |  GROUP BY q.qid, s.id
       |) d GROUP BY qid""".stripMargin
 }

@@ -2,7 +2,8 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.types.{DataType, DoubleType, IntegerType, LongType}
+import org.duckdb.DuckDBConnection
 
 /** DuckDB correctness oracle.
   *
@@ -33,24 +34,40 @@ object Oracle {
       .sortBy(_.mkString(""))
   }
 
+  /** DuckDB column type for a Spark column; anything but the three numeric
+    * types is loaded as its string form.
+    */
+  private def sqlType(t: DataType): String = t match {
+    case LongType    => "BIGINT"
+    case IntegerType => "INTEGER"
+    case DoubleType  => "DOUBLE"
+    case _           => "VARCHAR"
+  }
+
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
     Class.forName("org.duckdb.DuckDBDriver")
-    val conn = DriverManager.getConnection("jdbc:duckdb:")
+    val conn = DriverManager.getConnection("jdbc:duckdb:").asInstanceOf[DuckDBConnection]
     try {
       for ((name, df) <- tables) {
-        val cols = df.columns
+        val fields = df.schema.fields
         conn.createStatement.execute(
-          s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
+          s"CREATE TABLE $name (${fields.map(f => s"${f.name} ${sqlType(f.dataType)}").mkString(", ")})"
         )
         // Collect once; this is an oracle, not a bench — keep tables small.
-        val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
-        )
-        df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
-          ps.addBatch()
-        }
-        ps.executeBatch(); ps.close()
+        val app = conn.createAppender(DuckDBConnection.DEFAULT_SCHEMA, name)
+        try df.collect().foreach { r =>
+          app.beginRow()
+          fields.indices.foreach { i =>
+            if (r.isNullAt(i)) app.append(null: String)
+            else fields(i).dataType match {
+              case LongType    => app.append(r.getLong(i))
+              case IntegerType => app.append(r.getInt(i))
+              case DoubleType  => app.append(r.getDouble(i))
+              case _           => app.append(r.get(i).toString)
+            }
+          }
+          app.endRow()
+        } finally app.close()
       }
       val rs   = conn.createStatement.executeQuery(sql)
       val meta = rs.getMetaData

@@ -1,10 +1,11 @@
 package repro.cluster
 
 import repro.SparkSpec
-import repro.baselines.Competitors
+import repro.baselines.{Competitors, Dpisax}
 import repro.core.SeriesGen
 import repro.core.SeriesGen.presets
 import repro.index.{Search, SearchParams}
+import repro.spark.DistributedSearch
 
 class OdysseyClusterSpec extends SparkSpec {
 
@@ -28,6 +29,35 @@ class OdysseyClusterSpec extends SparkSpec {
       }
       assert(res.querySecs > 0 && res.bufferSecs > 0 && res.treeSecs > 0)
     }
+  }
+
+  for ((name, partitioner) <- Seq[(String, Int => Partitioner)](
+         "RandomShuffle" -> eqSplit, "DPiSAX" -> (c => Dpisax.partition(spec, c, w = 8)))) {
+    test(s"one build per run reproduces the LOCAL-then-SHARED two-pass reports ($name)") {
+      val cfg = ClusterConfig(8, 4, partitioner, params = SearchParams(threshold = 16))
+      val chunkOf = cfg.partitioner(4).chunkOf _
+      val local = DistributedSearch.run(spark, spec, chunkOf, queries, cfg.params, cfg.indexConfig)
+      val bounds = local.flatMap(_.queries).groupBy(_.qid)
+        .view.mapValues(_.map(_.approxBsf).min).toMap
+      val shared = DistributedSearch.run(spark, spec, chunkOf, queries, cfg.params, cfg.indexConfig, bounds)
+      assert(shared != local)
+      assert(OdysseyCluster.run(spark, spec, queries, cfg).reports == shared)
+    }
+  }
+
+  test("cached chunk indexes are released after every run, also a failing one") {
+    def cached = spark.sparkContext.getPersistentRDDs
+    val cfg = ClusterConfig(4, 2, eqSplit)
+    val chunkOf = eqSplit(2).chunkOf _
+    OdysseyCluster.run(spark, spec, queries.take(2), cfg)
+    assert(cached.isEmpty)
+    DistributedSearch.run(spark, spec, chunkOf, queries.take(2), SearchParams())
+    assert(cached.isEmpty)
+    val ragged = Array(queries(0) :+ 0.0)
+    intercept[Exception](OdysseyCluster.run(spark, spec, ragged, cfg))
+    assert(cached.isEmpty)
+    intercept[Exception](DistributedSearch.run(spark, spec, chunkOf, ragged, SearchParams()))
+    assert(cached.isEmpty)
   }
 
   test("all schedulers give identical answers, different times") {

@@ -13,9 +13,13 @@ class SearchSpec extends AnyFunSuite {
 
   private val datasets = Seq("Random", "Seismic", "Deep")
 
+  private val sizes = Seq(200, 800)
+  private val thresholds = Seq(Int.MaxValue, 8)
+  private val batchCounts = Seq(1, 4, 16)
+  private val leafCaps = Seq(8, 32)
+
   // ---- exact 1-NN equals brute force across datasets and knobs ----
-  for (name <- datasets; n <- Seq(200, 800); th <- Seq(Int.MaxValue, 8);
-       nsb <- Seq(1, 4, 16); cap <- Seq(8, 32)) {
+  for (name <- datasets; n <- sizes; th <- thresholds; nsb <- batchCounts; cap <- leafCaps) {
     test(s"exact 1-NN == brute force ($name, n=$n, TH=$th, nsb=$nsb, cap=$cap)") {
       val data = dataset(n, name)
       val spec = presets.byName(name, n)
@@ -26,6 +30,18 @@ class SearchSpec extends AnyFunSuite {
         val brute = Search.bruteForce(data.iterator, query).head
         assert(math.abs(run.bestDist - brute._1) < 1e-9,
                s"q=$q got=${run.bestDist} want=${brute._1}")
+      }
+    }
+  }
+
+  test("every touched leaf is held by exactly one processed queue (same grid)") {
+    for (name <- datasets; n <- sizes; cap <- leafCaps) {
+      val spec = presets.byName(name, n)
+      val idx = IsaxIndex.build(dataset(n, name).iterator, IndexConfig(w = 8, leafCapacity = cap))
+      for (th <- thresholds; nsb <- batchCounts; q <- 0 until 4) {
+        val run = Search.exact(idx, SeriesGen.query(spec, q), SearchParams(nsb = nsb, threshold = th))
+        assert(run.pqStats.map(_.leaves.toLong).sum == run.nLeavesTouched,
+               s"$name n=$n TH=$th nsb=$nsb cap=$cap q=$q")
       }
     }
   }

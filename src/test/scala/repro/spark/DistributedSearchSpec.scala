@@ -3,8 +3,9 @@ package repro.spark
 import repro.{Oracle, SparkSpec}
 import repro.core.SeriesGen
 import repro.core.SeriesGen.presets
-import repro.cluster.Partitioning
-import repro.index.{Dtw, IndexConfig, SearchParams, Search}
+import repro.baselines.Dpisax
+import repro.cluster.{Partitioner, Partitioning}
+import repro.index.{Dtw, IndexConfig, IsaxIndex, SearchParams, Search}
 
 class DistributedSearchSpec extends SparkSpec {
 
@@ -90,6 +91,25 @@ class DistributedSearchSpec extends SparkSpec {
     val opsL = local.flatMap(_.queries).map(_.totalOps).sum
     val opsS = shared.flatMap(_.queries).map(_.totalOps).sum
     assert(opsS < opsL)
+  }
+
+  for (part <- Seq[Partitioner](Partitioning.RandomShuffle(4),
+                                Dpisax.partition(presets.seismic(600), 4, w = 8))) {
+    test(s"each chunk's index is built from its series in ascending id order (${part.name})") {
+      val n = 600
+      val spec = presets.seismic(n)
+      val queries = SeriesGen.queries(spec, 4)
+      val params = SearchParams(threshold = 16)
+      val reports = DistributedSearch.run(spark, spec, part.chunkOf, queries, params)
+      assert(reports.map(_.build.chunk) == (0 until part.nChunks))
+      reports.foreach { rep =>
+        val chunk = rep.build.chunk
+        val ids = (0L until n.toLong).filter(id => part.chunkOf(id) == chunk)
+        val index = IsaxIndex.build(ids.iterator.map(id => id -> SeriesGen.series(spec, id)), IndexConfig())
+        assert(rep.build == BuildStatRow.of(chunk, index.buildStats))
+        assert(rep.queries == queries.indices.map(q => QueryStatRow.of(chunk, q, Search.exact(index, queries(q), params))))
+      }
+    }
   }
 
   test("build stats report every chunk with the right populations") {
