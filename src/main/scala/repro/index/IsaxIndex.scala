@@ -1,6 +1,6 @@
 package repro.index
 
-import scala.collection.mutable
+import scala.collection.{immutable, mutable}
 import repro.core.{Cost, ISax, Paa}
 
 /** Index build configuration.
@@ -42,8 +42,8 @@ final case class BuildStats(nSeries: Long, bufferOps: Long, treeOps: Long,
   * every series' summary (the "summarization buffer" pass — here the
   * grouping of entries by first-bit root word), then insert each buffer's
   * entries into its own root subtree. `rootsSorted` exposes the subtrees
-  * in root-word order; the searcher groups consecutive subtrees into
-  * RS-batches.
+  * in root-word order, sorted once; the searcher groups consecutive
+  * subtrees into RS-batches.
   */
 final class IsaxIndex private (val config: IndexConfig, val length: Int) {
   val segSizes: Array[Int] = Paa.segmentSizes(length, config.w)
@@ -51,8 +51,23 @@ final class IsaxIndex private (val config: IndexConfig, val length: Int) {
   private var _nSeries = 0L
   private var _treeOps = 0L
 
-  /** Root subtrees ordered by packed first-bit word (stable RS-batch ids). */
-  def rootsSorted: Array[(Int, TreeNode)] = rootMap.toArray.sortBy(_._1)
+  /** Root subtrees ordered by packed first-bit word (stable RS-batch ids).
+    * Sorted once, on first use after the build: sorting at the end of
+    * `build` slowed the build's JIT warm-up under `-Xbatch`.
+    */
+  lazy val rootsSorted: IndexedSeq[(Int, TreeNode)] =
+    immutable.ArraySeq.unsafeWrapArray(rootMap.toArray.sortBy(_._1))
+
+  private lazy val rootKeys: Array[Int] = rootsSorted.map(_._1).toArray
+
+  /** The subtrees of `rootsSorted`, for the search loops; callers must not write. */
+  private[index] lazy val roots: Array[TreeNode] = rootsSorted.map(_._2).toArray
+
+  /** Position in `roots` of the subtree with root word `key`, or -1. */
+  private[index] def rootIndex(key: Int): Int = {
+    val i = java.util.Arrays.binarySearch(rootKeys, key)
+    if (i >= 0) i else -1
+  }
 
   /** Summarization-buffer histogram: packed root word -> series count. */
   def bufferCounts: Map[Int, Int] = rootMap.view.mapValues(countEntries).toMap

@@ -1,6 +1,5 @@
 package repro.index
 
-import scala.collection.mutable
 import repro.core.{Cost, Distances, ISax}
 
 /** Distance mode: whole-matching Euclidean, or DTW with a Sakoe–Chiba
@@ -61,21 +60,23 @@ final class QueryCtx(val values: Array[Double], val mode: Mode, w: Int,
     case Euclidean => (null, null)
   }
 
-  /** Lower bound of the real distance for an index node's word region. */
-  def nodeLb(node: TreeNode): Double = mode match {
-    case Euclidean => ISax.mindistPaaToWord(paa, segSizes, node.word, node.bits)
-    case Dtw(_)    => ISax.mindistEnvToWord(envUpPaa, envLoPaa, segSizes, node.word, node.bits)
+  /** Per-query lower-bound table (MESSI-style): slot
+    * `i * Stride + (1 << b) + sym` holds segment i's squared MINDIST term
+    * for region `sym` at `b` bits. Built on first use, so a context that
+    * only runs the approximate phase never pays for it.
+    */
+  lazy val lbTable: Array[Double] = mode match {
+    case Euclidean => QueryCtx.table(paa, paa, segSizes)
+    case Dtw(_)    => QueryCtx.table(envUpPaa, envLoPaa, segSizes)
   }
 
-  private val fullBits = Array.fill(w)(ISax.MaxBits)
+  /** Lower bound of the real distance for an index node's word region. */
+  def nodeLb(node: TreeNode): Double = QueryCtx.nodeLb(lbTable, node)
 
   /** Lower bound of the real distance for a single indexed entry, from its
     * full-cardinality word (the index stores words, not PAAs — MESSI-style).
     */
-  def entryLb(e: Entry): Double = mode match {
-    case Euclidean => ISax.mindistPaaToWord(paa, segSizes, e.sax, fullBits)
-    case Dtw(_)    => ISax.mindistEnvToWord(envUpPaa, envLoPaa, segSizes, e.sax, fullBits)
-  }
+  def entryLb(e: Entry): Double = QueryCtx.entryLb(lbTable, e.sax)
 
   /** Real distance, early-abandoning against `bound`. For DTW a LB_Keogh
     * cascade runs first (itself a DTW lower bound).
@@ -89,22 +90,151 @@ final class QueryCtx(val values: Array[Double], val mode: Mode, w: Int,
   }
 }
 
-/** Bounded max-heap over (dist, id): keeps the k smallest distances seen.
+object QueryCtx {
+
+  /** Table slots per segment: regions of every cardinality 2^b, b = 0..MaxBits. */
+  private[index] val Stride: Int = 2 << ISax.MaxBits
+
+  /** The table of `ISax.mindistEnvToWord`'s terms for envelope PAAs
+    * `up`/`lo`; with `up == lo == paa` they are `mindistPaaToWord`'s. The
+    * full-cardinality slots use the kernels' own expression; each coarser
+    * region is the min of its two halves, which is bitwise the kernels'
+    * value because iSAX breakpoints are nested (both halves share the
+    * parent's outer breakpoints). Sums below run in the kernels' segment
+    * order, so every bound is bit-identical to theirs.
+    */
+  private def table(up: Array[Double], lo: Array[Double], segSizes: Array[Int]): Array[Double] = {
+    val full = 1 << ISax.MaxBits
+    val bp = ISax.breakpoints(ISax.MaxBits)
+    val tab = new Array[Double](up.length * Stride)
+    var i = 0
+    while (i < up.length) {
+      val base = i * Stride
+      // The kernels' term is nonzero only for regions below the envelope
+      // (rhi < lo) or above it (rlo > up), never both as lo <= up: two runs
+      // in from the ends, same expression; the symbols between stay 0.0.
+      var sym = 0
+      while (sym < full - 1 && lo(i) > bp(sym)) {
+        val d = lo(i) - bp(sym)
+        tab(base + full + sym) = segSizes(i) * d * d
+        sym += 1
+      }
+      sym = full - 1
+      while (sym > 0 && up(i) < bp(sym - 1)) {
+        val d = bp(sym - 1) - up(i)
+        tab(base + full + sym) = segSizes(i) * d * d
+        sym -= 1
+      }
+      // slot c (1 <= c < full) is the region whose halves are slots 2c, 2c + 1;
+      // slot 1 (b = 0, no bits) stays 0.0, as the kernels skip that segment.
+      // Terms are never NaN or -0.0, so the compare below is math.min.
+      var c = full - 1
+      while (c > 1) {
+        val lower = tab(base + 2 * c)
+        val upper = tab(base + 2 * c + 1)
+        tab(base + c) = if (lower <= upper) lower else upper
+        c -= 1
+      }
+      i += 1
+    }
+    tab
+  }
+
+  @inline private[index] def nodeLb(tab: Array[Double], node: TreeNode): Double = {
+    val word = node.word
+    val bits = node.bits
+    var acc = 0.0
+    var i = 0
+    while (i < word.length) {
+      acc += tab(i * Stride + (1 << bits(i)) + word(i))
+      i += 1
+    }
+    math.sqrt(acc)
+  }
+
+  @inline private[index] def entryLb(tab: Array[Double], sax: Array[Int]): Double = {
+    var acc = 0.0
+    var i = 0
+    var slot = 1 << ISax.MaxBits
+    while (i < sax.length) {
+      acc += tab(slot + sax(i))
+      slot += Stride
+      i += 1
+    }
+    math.sqrt(acc)
+  }
+}
+
+/** Bounded answer list over (dist, id): keeps the k smallest distances seen.
   * Ids are deduplicated — the approximate phase and the PQ phase may both
   * visit the same leaf, and a series must count once in a k-NN answer.
+  * An offer is taken only when strictly below `bound` and its id is not
+  * already held. Held pairs stay in ascending distance order, ties in
+  * arrival order; once k are held, a taken offer drops the last pair.
   */
 final class KnnHeap(val k: Int) {
-  private val heap = mutable.PriorityQueue.empty[(Double, Long)](Ordering.by(_._1))
-  private val ids = mutable.Set.empty[Long]
-  def bound: Double = if (heap.size < k) Double.PositiveInfinity else heap.head._1
-  def offer(dist: Double, id: Long): Boolean =
-    if (dist < bound && !ids.contains(id)) {
-      heap.enqueue((dist, id))
-      ids += id
-      if (heap.size > k) ids -= heap.dequeue()._2
-      true
-    } else false
-  def toSortedList: List[(Double, Long)] = heap.toList.sortBy(_._1)
+  require(k >= 1, s"k must be positive: $k")
+  private val dists = new Array[Double](k)
+  private val ids = new Array[Long](k)
+  private var size = 0
+  private var _bound = Double.PositiveInfinity
+
+  def bound: Double = _bound
+
+  def offer(dist: Double, id: Long): Boolean = {
+    if (!(dist < _bound)) return false
+    var i = 0
+    while (i < size) { if (ids(i) == id) return false; i += 1 }
+    // insert after every held pair with dist <= the new one
+    var at = if (size < k) size else k - 1
+    while (at > 0 && dists(at - 1) > dist) {
+      dists(at) = dists(at - 1); ids(at) = ids(at - 1)
+      at -= 1
+    }
+    dists(at) = dist; ids(at) = id
+    if (size < k) size += 1
+    if (size == k) _bound = dists(k - 1)
+    true
+  }
+
+  def toSortedList: List[(Double, Long)] = List.tabulate(size)(i => (dists(i), ids(i)))
+}
+
+/** One exact search's priority queues in primitive arrays: every touched
+  * leaf with its lower bound in traversal order, cut into queues; queue q
+  * holds leaves `[start(q), start(q + 1))` and was built by RS-batch
+  * `batch(q)`.
+  */
+private final class LeafQueues {
+  var leaves = new Array[TreeNode](64)
+  var lbs = new Array[Double](64)
+  var nLeaves = 0
+  var start = new Array[Int](17)
+  var batch = new Array[Int](16)
+  var nQueues = 0
+
+  def add(leaf: TreeNode, lb: Double): Unit = {
+    if (nLeaves == leaves.length) {
+      leaves = java.util.Arrays.copyOf(leaves, nLeaves * 2)
+      lbs = java.util.Arrays.copyOf(lbs, nLeaves * 2)
+    }
+    leaves(nLeaves) = leaf; lbs(nLeaves) = lb
+    nLeaves += 1
+  }
+
+  /** Leaves in the open queue. */
+  def open: Int = nLeaves - start(nQueues)
+
+  /** Close the open queue, if it holds any leaf, as one of batch `b`. */
+  def close(b: Int): Unit = if (open > 0) {
+    if (nQueues == batch.length) {
+      batch = java.util.Arrays.copyOf(batch, nQueues * 2)
+      start = java.util.Arrays.copyOf(start, nQueues * 2 + 1)
+    }
+    batch(nQueues) = b
+    nQueues += 1
+    start(nQueues) = nLeaves
+  }
 }
 
 object Search {
@@ -115,13 +245,13 @@ object Search {
     */
   def approx(index: IsaxIndex, ctx: QueryCtx, cost: Cost, k: Int = 1): KnnHeap = {
     val heap = new KnnHeap(k)
-    val roots = index.rootsSorted
+    val roots = index.roots
     if (roots.isEmpty) return heap
-    val qKey = ISax.rootKey(ctx.sax)
-    val root = roots.find(_._1 == qKey).map(_._2).getOrElse {
+    val at = index.rootIndex(ISax.rootKey(ctx.sax))
+    val root = if (at >= 0) roots(at) else {
       // no matching subtree: take the root with the smallest lower bound
       cost.add(roots.length.toLong * ctx.paa.length)
-      roots.minBy { case (_, n) => ctx.nodeLb(n) }._2
+      roots.minBy(ctx.nodeLb)
     }
     var node = root
     while (!node.isLeaf) {
@@ -145,6 +275,8 @@ object Search {
     * traversal per RS-batch populating size-thresholded priority queues,
     * PQ array sorted by top priority, then in-order PQ processing with
     * per-entry lower-bound filtering and early-abandoning real distances.
+    * Every node and entry lower bound is a few reads of the query's
+    * `lbTable`.
     *
     * @param startBound  an externally shared BSF (k-th best); PositiveInfinity
     *                    when the node has received nothing. The local answer
@@ -167,11 +299,13 @@ object Search {
     val th = if (thresholdOf == null) params.threshold
              else math.max(2, thresholdOf(approxBsf))
 
-    val roots = index.rootsSorted
+    val tab = ctx.lbTable
+    val w = ctx.paa.length
+    val roots = index.roots
     val nsb = math.min(params.nsb, roots.length)
     val batchOps = new Array[Long](nsb)
-    // (batchId, leaves-with-lb, topLb) per priority queue
-    val pqs = mutable.ArrayBuffer.empty[(Int, mutable.ArrayBuffer[(TreeNode, Double)])]
+    val queues = new LeafQueues
+    var stack = new Array[TreeNode](64)
     var leavesTouched = 0L
 
     // ---- tree traversal phase: prune with the initial bound ----
@@ -180,57 +314,73 @@ object Search {
       val before = cost.ops
       val lo = b * roots.length / nsb
       val hi = (b + 1) * roots.length / nsb
-      var active = mutable.ArrayBuffer.empty[(TreeNode, Double)]
-      def flush(): Unit = { if (active.nonEmpty) { pqs += ((b, active)); active = mutable.ArrayBuffer.empty } }
       var r = lo
       while (r < hi) {
-        val stack = mutable.ArrayDeque[TreeNode](roots(r)._2)
-        while (stack.nonEmpty) {
-          val node = stack.removeLast()
-          cost.add(ctx.paa.length)
-          val lb = ctx.nodeLb(node)
+        stack(0) = roots(r)
+        var top = 1
+        while (top > 0) {
+          top -= 1
+          val node = stack(top)
+          cost.add(w)
+          val lb = QueryCtx.nodeLb(tab, node)
           if (lb < bound) {
             if (node.isLeaf) {
               if (node.entries.nonEmpty) {
-                active += ((node, lb))
+                queues.add(node, lb)
                 leavesTouched += 1
-                if (active.length >= th) flush()
+                if (queues.open >= th) queues.close(b)
               }
-            } else { stack.append(node.child0); stack.append(node.child1) }
+            } else {
+              if (top + 2 > stack.length) stack = java.util.Arrays.copyOf(stack, stack.length * 2)
+              stack(top) = node.child0
+              stack(top + 1) = node.child1
+              top += 2
+            }
           }
         }
         r += 1
       }
-      flush()
+      queues.close(b)
       batchOps(b) = cost.ops - before
       b += 1
     }
 
-    // ---- PQ preprocessing: sort queue array by top priority ----
-    val ordered = pqs.map { case (bid, leaves) =>
-      val sorted = leaves.sortBy(_._2)
-      (bid, sorted, sorted.head._2)
-    }.sortBy(_._3).toArray
+    // ---- PQ preprocessing: sort each queue, then the queues by top priority ----
+    val nQueues = queues.nQueues
+    val start = queues.start
+    val lbs = queues.lbs
+    val leafOrder = Array.range(0, queues.nLeaves)
+    val scratch = new Array[Int](queues.nLeaves)
+    val tops = new Array[Double](nQueues)
+    var q = 0
+    while (q < nQueues) {
+      stableSortBy(lbs, leafOrder, start(q), start(q + 1), scratch)
+      tops(q) = lbs(leafOrder(start(q)))
+      q += 1
+    }
+    val queueOrder = Array.range(0, nQueues)
+    stableSortBy(tops, queueOrder, 0, nQueues, scratch)
 
     // ---- PQ processing phase ----
     var nReal = 0L
-    val stats = new Array[PqStat](ordered.length)
+    val stats = new Array[PqStat](nQueues)
     var p = 0
-    while (p < ordered.length) {
-      val (bid, leaves, topLb) = ordered(p)
+    while (p < nQueues) {
+      val qi = queueOrder(p)
       val before = cost.ops
-      var li = 0
+      var li = start(qi)
+      val end = start(qi + 1)
       var abandoned = false
-      while (li < leaves.length && !abandoned) {
-        val (leaf, lb) = leaves(li)
-        if (lb >= bound) abandoned = true // queue is lb-sorted: the rest prune too
+      while (li < end && !abandoned) {
+        val leaf = leafOrder(li)
+        if (lbs(leaf) >= bound) abandoned = true // queue is lb-sorted: the rest prune too
         else {
-          val entries = leaf.entries
+          val entries = queues.leaves(leaf).entries
           var ei = 0
           while (ei < entries.length) {
             val e = entries(ei)
-            cost.add(ctx.paa.length)
-            if (ctx.entryLb(e) < bound) {
+            cost.add(w)
+            if (QueryCtx.entryLb(tab, e.sax) < bound) {
               val d = ctx.realDist(e, bound, cost)
               nReal += 1
               if (heap.offer(d, e.id)) bound = math.min(bound, heap.bound)
@@ -240,13 +390,46 @@ object Search {
         }
         li += 1
       }
-      stats(p) = PqStat(bid, topLb, leaves.length, cost.ops - before)
+      stats(p) = PqStat(queues.batch(qi), tops(qi), end - start(qi), cost.ops - before)
       p += 1
     }
 
     QueryRun(heap.toSortedList, approxBsf, approxOps, batchOps, stats,
              totalOps = cost.ops, nLeavesTouched = leavesTouched, nRealDists = nReal)
   }
+
+  /** Stable ascending sort of `idx[from, until)` by `key(idx(_))`: insertion
+    * sort for short runs, merge sort above. Equal keys keep their order,
+    * which decides the PQ order and so the op counts. `tmp` must be as long
+    * as `idx`.
+    */
+  private[index] def stableSortBy(key: Array[Double], idx: Array[Int], from: Int, until: Int,
+                                  tmp: Array[Int]): Unit =
+    if (until - from <= 16) {
+      var i = from + 1
+      while (i < until) {
+        val x = idx(i)
+        val kx = key(x)
+        var j = i - 1
+        while (j >= from && key(idx(j)) > kx) { idx(j + 1) = idx(j); j -= 1 }
+        idx(j + 1) = x
+        i += 1
+      }
+    } else {
+      val mid = (from + until) >>> 1
+      stableSortBy(key, idx, from, mid, tmp)
+      stableSortBy(key, idx, mid, until, tmp)
+      if (key(idx(mid)) < key(idx(mid - 1))) {
+        // merge: the left run moves to tmp, the right run's tail stays in place
+        System.arraycopy(idx, from, tmp, from, mid - from)
+        var i = from; var j = mid; var o = from
+        while (i < mid) {
+          if (j < until && key(idx(j)) < key(tmp(i))) { idx(o) = idx(j); j += 1 }
+          else { idx(o) = tmp(i); i += 1 }
+          o += 1
+        }
+      }
+    }
 
   /** Brute-force reference (tests): exact k-NN by scanning everything. */
   def bruteForce(series: Iterator[(Long, Array[Double])], query: Array[Double],

@@ -83,6 +83,20 @@ class IsaxIndexSpec extends AnyFunSuite {
     }
   }
 
+  test("root order is computed once, sorted by key, and covers every buffer") {
+    val idx = IsaxIndex.build(dataset(600, "Random").iterator, IndexConfig(w = 8, leafCapacity = 16))
+    val roots = idx.rootsSorted
+    assert(roots eq idx.rootsSorted)
+    val keys = roots.map(_._1)
+    assert(keys.sliding(2).forall(p => p.length < 2 || p(0) < p(1)))
+    assert(keys.toSet == idx.bufferCounts.keySet)
+    keys.zipWithIndex.foreach { case (key, i) =>
+      assert(idx.rootIndex(key) == i)
+      assert(idx.roots(i) eq roots(i)._2)
+    }
+    (0 until 256).filterNot(keys.toSet).foreach(key => assert(idx.rootIndex(key) == -1))
+  }
+
   test("build stats are consistent") {
     val cost = new Cost
     val idx = IsaxIndex.build(dataset(400).iterator, IndexConfig(w = 8, leafCapacity = 16), cost)

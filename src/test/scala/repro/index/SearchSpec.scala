@@ -189,4 +189,42 @@ class SearchSpec extends AnyFunSuite {
       assert(math.abs(repro.core.Distances.ed(SeriesGen.query(spec, 0), data(id.toInt)._2) - d) < 1e-9)
     }
   }
+
+  // ---- op-count regression: every QueryRun field over a fixed grid ----
+  // `OpCountHash` was recorded at the parent commit of the per-query
+  // lower-bound table, the cached root order and the primitive queues, when
+  // every bound called the ISax MINDIST kernels. Speed-ups must keep it:
+  // the simulated tables are built on these answers, op counts and queues.
+  // Only a change that sets out to alter the cost model records a new value
+  // (and re-records EXPERIMENTS.md).
+  private val OpCountHash = 0x43da5d1fce3c776eL
+
+  private def runHash(run: QueryRun, h: Long): Long = {
+    var x = h
+    def mix(v: Long): Unit = { x = (x ^ v) * 0x100000001b3L; x ^= x >>> 31 }
+    def dbl(d: Double): Unit = mix(java.lang.Double.doubleToRawLongBits(d))
+    mix(run.topK.length.toLong)
+    run.topK.foreach { case (d, id) => dbl(d); mix(id) }
+    dbl(run.approxBsf); mix(run.approxOps)
+    mix(run.batchOps.length.toLong); run.batchOps.foreach(mix)
+    mix(run.pqStats.length.toLong)
+    run.pqStats.foreach { s => mix(s.batchId.toLong); dbl(s.topLb); mix(s.leaves.toLong); mix(s.procOps) }
+    mix(run.totalOps); mix(run.nLeavesTouched); mix(run.nRealDists)
+    x
+  }
+
+  test("op counts, queues and answers match the recorded hash (ED k=1/5, DTW r=12 k=10, TH 4/inf)") {
+    val grid = Seq((Euclidean, 1), (Euclidean, 5), (Dtw(12), 10))
+    var h = 0xcbf29ce484222325L
+    for (name <- datasets) {
+      val n = 600
+      val spec = presets.byName(name, n)
+      val idx = IsaxIndex.build(dataset(n, name).iterator, IndexConfig(w = 8, leafCapacity = 16))
+      for ((mode, k) <- grid; th <- Seq(4, Int.MaxValue); q <- 0 until 4) {
+        val run = Search.exact(idx, SeriesGen.query(spec, q), SearchParams(nsb = 4, threshold = th, mode = mode, k = k))
+        h = runHash(run, h)
+      }
+    }
+    assert(h == OpCountHash, f"hash 0x$h%016xL")
+  }
 }
