@@ -36,7 +36,8 @@ object Partitioning {
   /** Explicit table-backed partitioner (result of DENSITY-AWARE / DPiSAX). */
   final case class Table(name: String, override val nChunks: Int,
                          assign: Map[Long, Int]) extends Partitioner {
-    def chunkOf(id: Long): Int = assign(id)
+    def chunkOf(id: Long): Int =
+      assign.getOrElse(id, throw new IllegalArgumentException(s"$name assigns no chunk to series id $id"))
   }
 
   /** DENSITY-AWARE partitioning (§3.4.1, Figs. 8–9).

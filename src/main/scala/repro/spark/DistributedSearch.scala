@@ -1,10 +1,9 @@
 package repro.spark
 
-import scala.collection.mutable
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
-import repro.core.Cost
+import repro.core.{Cost, SeriesGen}
 import repro.core.SeriesGen.DatasetSpec
 import repro.index.{BuildStats, IndexConfig, IsaxIndex, QueryCtx, QueryRun, Search, SearchParams}
 import repro.index.ThresholdModel.SigmoidFit
@@ -47,13 +46,14 @@ object BuildStatRow {
 
 final case class ChunkReport(build: BuildStatRow, queries: Seq[QueryStatRow])
 
-/** The distributed dataflow (stages 1-2-4 of Fig. 3): the partitioned
-  * collection is shuffled to its chunks once, each chunk builds its iSAX
-  * index once, and the cached indexes answer the broadcast query batch with
-  * the index-pruned exact search, emitting answers and op breakdowns. When
-  * BSF sharing is on, an approximate-only job over the same cached indexes
-  * first yields each query's best initial BSF. Stage-3 scheduling and
-  * stage-5 merging happen on the driver ([[repro.cluster.OdysseyCluster]]).
+/** The distributed dataflow (stages 1-2-4 of Fig. 3): one Spark task per
+  * chunk generates the chunk's own series and builds its iSAX index once, so
+  * no series moves between tasks, and the cached indexes answer the
+  * broadcast query batch with the index-pruned exact search, emitting
+  * answers and op breakdowns. When BSF sharing is on, an approximate-only
+  * job over the same cached indexes first yields each query's best initial
+  * BSF. Stage-3 scheduling and stage-5 merging happen on the driver
+  * ([[repro.cluster.OdysseyCluster]]).
   */
 object DistributedSearch {
 
@@ -80,27 +80,35 @@ object DistributedSearch {
     try use(indexes) finally indexes.unpersist(blocking = true)
   }
 
-  /** Generate the collection, shuffle each series to its chunk, and build
-    * one index per chunk, cached in memory by the first job that uses it.
-    * Each chunk's series reach `IsaxIndex.build` in the order they arrive,
-    * which is ascending id: the generator's partitions are contiguous id
-    * ranges, shuffle blocks are read in map order, and the grouping below
-    * keeps arrival order. Leaf entry order, and so every op count, depends
-    * on it.
+  /** Build one index per chunk, one task per chunk, cached in memory by the
+    * first job that uses it. Each task generates exactly the series its
+    * chunk owns (`SeriesGen.series` is a pure function of `(spec, id)`) and
+    * streams them into `IsaxIndex.build` in ascending id order; leaf entry
+    * order, and so every op count, depends on it. A chunk that owns no
+    * series emits no index.
     */
   private def buildIndexes(spark: SparkSession, spec: DatasetSpec, chunkOf: Long => Int,
                            indexConfig: IndexConfig): RDD[(Int, IsaxIndex)] = {
-    import spark.implicits._
-    SeriesFrame.seriesDs(spark, spec, chunkOf)
-      .repartition($"chunk")
-      .rdd
-      .mapPartitions { rows =>
-        val chunks = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[(Long, Array[Double])]]
-        rows.foreach(r => chunks.getOrElseUpdate(r.chunk, mutable.ArrayBuffer.empty) += ((r.id, r.values)))
-        chunks.iterator.map { case (chunk, series) => chunk -> IsaxIndex.build(series.iterator, indexConfig) }
+    val nChunks = chunkCount(spec.n, chunkOf)
+    spark.sparkContext.parallelize(0 until nChunks, nChunks)
+      .flatMap { chunk =>
+        val series = Iterator.range(0, spec.n).map(_.toLong).filter(chunkOf(_) == chunk)
+          .map(id => id -> SeriesGen.series(spec, id))
+        if (series.hasNext) Iterator.single(chunk -> IsaxIndex.build(series, indexConfig))
+        else Iterator.empty
       }
       .persist(StorageLevel.MEMORY_ONLY)
   }
+
+  /** One more than the largest chunk `chunkOf` assigns to ids `0 until n`,
+    * read on the driver so that a bad assignment fails before any Spark job.
+    */
+  private def chunkCount(n: Int, chunkOf: Long => Int): Int =
+    (0L until n).foldLeft(0) { (count, id) =>
+      val chunk = chunkOf(id)
+      require(chunk >= 0, s"negative chunk $chunk for series id $id")
+      math.max(count, chunk + 1)
+    }
 
   /** Each query's best initial BSF over all chunks: the approximate search
     * alone per (chunk, query), then the minimum per qid on the driver.

@@ -10,12 +10,16 @@ import repro.core.SeriesGen.DatasetSpec
 final case class SeriesRow(chunk: Int, id: Long, values: Array[Double])
 
 /** DataFrame plumbing for series collections: generation into Datasets and
-  * explosion into (id, pos, val) rows for the DuckDB oracle.
+  * explosion into (id, pos, val) rows for the DuckDB oracle. The search
+  * pipeline does not go through it: [[DistributedSearch]] generates each
+  * chunk's series inside that chunk's task.
   */
 object SeriesFrame {
 
-  /** The collection as a Dataset, with chunk assignment applied. `chunkOf`
-    * must be a serializable pure function (all [[repro.cluster.Partitioner]]s are).
+  /** The collection as a Dataset, with chunk assignment applied: the
+    * DataFrame entry point to a collection, and what the wall-clock
+    * benchmark times as series generation. `chunkOf` must be a serializable
+    * pure function (all [[repro.cluster.Partitioner]]s are).
     */
   def seriesDs(spark: SparkSession, spec: DatasetSpec,
                chunkOf: Long => Int): Dataset[SeriesRow] = {

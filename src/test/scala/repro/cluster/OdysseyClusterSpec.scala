@@ -1,5 +1,8 @@
 package repro.cluster
 
+import scala.collection.mutable
+import org.apache.spark.ListenerBusAccess
+import org.apache.spark.scheduler.{SparkListener, SparkListenerStageCompleted, SparkListenerTaskEnd}
 import repro.SparkSpec
 import repro.baselines.{Competitors, Dpisax}
 import repro.core.SeriesGen
@@ -18,6 +21,33 @@ class OdysseyClusterSpec extends SparkSpec {
   }
 
   private def eqSplit(k: Int): Partitioner = Partitioning.RandomShuffle(k)
+
+  /** What Spark ran while `body` ran: shuffle bytes written plus read, and
+    * each completed stage's task count in stage order.
+    */
+  private final class Seen extends SparkListener {
+    var shuffleBytes = 0L
+    private val stages = mutable.SortedMap.empty[Int, Int]
+    def stageTasks: Seq[Int] = synchronized(stages.values.toSeq)
+    override def onStageCompleted(e: SparkListenerStageCompleted): Unit =
+      synchronized(stages(e.stageInfo.stageId) = e.stageInfo.numTasks)
+    override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
+      if (e.taskMetrics != null)
+        shuffleBytes += e.taskMetrics.shuffleWriteMetrics.bytesWritten + e.taskMetrics.shuffleReadMetrics.totalBytesRead
+    }
+  }
+
+  private def seen[T](body: => T): (Seen, T) = {
+    val sc = spark.sparkContext
+    val listener = new Seen
+    ListenerBusAccess.waitUntilEmpty(sc)
+    sc.addSparkListener(listener)
+    try {
+      val out = body
+      ListenerBusAccess.waitUntilEmpty(sc)
+      (listener, out)
+    } finally sc.removeSparkListener(listener)
+  }
 
   for (k <- Seq(1, 2, 4, 8); sched <- Seq(Static, PredictDn); steal <- Seq(false, true)) {
     test(s"pipeline answers are exact (PARTIAL-$k, ${sched.name}, steal=$steal)") {
@@ -42,6 +72,48 @@ class OdysseyClusterSpec extends SparkSpec {
       val shared = DistributedSearch.run(spark, spec, chunkOf, queries, cfg.params, cfg.indexConfig, bounds)
       assert(shared != local)
       assert(OdysseyCluster.run(spark, spec, queries, cfg).reports == shared)
+    }
+  }
+
+  for ((name, partitioner) <- Seq[(String, Int => Partitioner)](
+         "RandomShuffle" -> eqSplit, "DPiSAX" -> (c => Dpisax.partition(spec, c, w = 8)))) {
+    test(s"a run shuffles no bytes and builds with one task per chunk ($name)") {
+      val (ran, res) = seen(OdysseyCluster.run(spark, spec, queries, ClusterConfig(8, 4, partitioner)))
+      assert(res.reports.map(_.build.chunk) == (0 until 4))
+      assert(ran.shuffleBytes == 0)
+      // the bound job builds the cached indexes; the exact job reuses them
+      assert(ran.stageTasks == Seq(4, 4))
+    }
+  }
+
+  for ((name, partitioner) <- Seq[(String, Int => Partitioner)](
+         "EQUALLY-SPLIT" -> (c => Partitioning.EquallySplit(4, c)), "RandomShuffle" -> eqSplit)) {
+    test(s"chunks that own no series are left out and the answers stay exact ($name)") {
+      val tiny = presets.seismic(4)
+      val qs = SeriesGen.queries(tiny, 3)
+      val cfg = ClusterConfig(8, 8, partitioner, params = SearchParams(k = 2))
+      val res = OdysseyCluster.run(spark, tiny, qs, cfg)
+      val owners = (0L until 4L).map(partitioner(8).chunkOf).distinct.sorted
+      assert(owners.size < 8)
+      assert(res.reports.map(_.build.chunk) == owners)
+      val data = (0L until 4L).map(id => (id, SeriesGen.series(tiny, id)))
+      qs.indices.foreach { q =>
+        val brute = Search.bruteForce(data.iterator, qs(q), k = 2)
+        assert(res.answers(q).map(_._2) == brute.map(_._2), s"q=$q")
+        res.answers(q).zip(brute).foreach { case ((dg, _), (db, _)) => assert(math.abs(dg - db) < 1e-9) }
+      }
+    }
+  }
+
+  test("a bad chunk assignment fails on the driver, naming the series id") {
+    val missing = Partitioning.Table("T", 2, (0L until n.toLong - 1).map(_ -> 0).toMap)
+    val negative = Partitioning.Table("T", 2, (0L until n.toLong).map(id => id -> (if (id == 7) -1 else 0)).toMap)
+    for ((part, id) <- Seq(missing -> (n - 1), negative -> 7)) {
+      val (ran, e) = seen(intercept[IllegalArgumentException](
+        OdysseyCluster.run(spark, spec, queries.take(1), ClusterConfig(2, 2, _ => part))))
+      assert(e.getMessage.contains(s"series id $id"), e.getMessage)
+      assert(ran.stageTasks.isEmpty, "a Spark job ran")
+      assert(spark.sparkContext.getPersistentRDDs.isEmpty)
     }
   }
 
