@@ -1,150 +1,50 @@
 package repro.jobs
 
+import scala.collection.immutable.ListMap
 import org.apache.spark.sql.SparkSession
 import repro.experiments.Experiments
+import repro.experiments.Experiments.{Scale, Table}
 
-/** Shared spark-submit harness: builds the session and prints tables.
-  * Usage: spark-submit --class repro.jobs.<Name> <jar> [nSeries] [nQueries]
+/** spark-submit entry point for every evaluation exhibit: prints the
+  * exhibit's tables.
+  * Usage: spark-submit --class repro.jobs.Main <jar> <exhibit> [nSeries] [nQueries]
+  * Fig. 12 and Fig. 17a-c run at their own sizes and ignore the scale args.
   */
-object Harness {
-  def session(name: String): SparkSession =
-    SparkSession.builder
+object Main {
+
+  private val exhibits = ListMap[String, (=> SparkSession, Scale) => Seq[Table]](
+    "table1"   -> ((_, s) => Seq(Experiments.table1(s))),
+    "fig04"    -> ((spark, s) => Seq(Experiments.fig04Prediction(spark, s))),
+    "fig06"    -> { (spark, s) => val (a, b) = Experiments.fig06Threshold(spark, s); Seq(a, b) },
+    "fig10"    -> ((spark, s) => Seq(Experiments.fig10Scheduling(spark, s))),
+    "fig11"    -> ((spark, s) => Seq(Experiments.fig11QueryScalability(spark, s))),
+    "fig12"    -> ((spark, _) => Seq(Experiments.fig12DataSize(spark),
+                                     Experiments.fig12DataSize(spark, dataset = "Yan-TtI"))),
+    "fig13"    -> ((spark, s) => Seq(Experiments.fig13Throughput(spark, s))),
+    "fig14"    -> ((spark, s) => Seq(Experiments.fig14IndexSize(spark, s))),
+    "fig15"    -> { (spark, s) => val (a, b) = Experiments.fig15Replication(spark, s); Seq(a, b) },
+    "fig16"    -> ((spark, s) => Seq(Experiments.fig16RealDatasets(spark, s))),
+    "fig17abc" -> { (spark, _) => val (a, b, c) = Experiments.fig17IndexScalability(spark); Seq(a, b, c) },
+    "fig17d"   -> ((spark, s) => Seq(Experiments.fig17dCompetitors(spark, s))),
+    "fig18"    -> ((spark, s) => Seq(Experiments.fig18Knn(spark, s))),
+    "fig19"    -> ((spark, s) => Seq(Experiments.fig19Dtw(spark, s))))
+
+  def main(args: Array[String]): Unit = {
+    val name = args.headOption.getOrElse("")
+    val exhibit = exhibits.getOrElse(name, {
+      System.err.println(s"unknown exhibit '$name'; usage: repro.jobs.Main <exhibit> [nSeries] [nQueries]\n" +
+                         s"exhibits: ${exhibits.keys.mkString(" ")}")
+      sys.exit(2)
+    })
+    val default = Scale()
+    val scale = Scale(n = args.lift(1).map(_.toInt).getOrElse(default.n),
+                      nQueries = args.lift(2).map(_.toInt).getOrElse(default.nQueries))
+    // table1 needs no session, so only the exhibits that use one start it
+    lazy val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
-      .config("spark.sql.shuffle.partitions", "64")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-
-  def scale(args: Array[String]): Experiments.Scale = {
-    val n = args.lift(0).map(_.toInt).getOrElse(4096)
-    val q = args.lift(1).map(_.toInt).getOrElse(40)
-    Experiments.Scale(n = n, nQueries = q)
-  }
-}
-
-/** Table 1 — dataset roster. */
-object Table1Datasets {
-  def main(args: Array[String]): Unit =
-    println(Experiments.table1(Harness.scale(args)).render)
-}
-
-/** Fig. 4 — cost-vs-initial-BSF regression. */
-object Fig04Prediction {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.session("fig04")
-    println(Experiments.fig04Prediction(spark, Harness.scale(args)).render)
-    spark.stop()
-  }
-}
-
-/** Fig. 6 — TH sigmoid fit + division-factor sweep. */
-object Fig06Threshold {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.session("fig06")
-    val (a, b) = Experiments.fig06Threshold(spark, Harness.scale(args))
-    println(a.render); println(b.render)
-    spark.stop()
-  }
-}
-
-/** Fig. 10 — scheduling algorithms (Seismic, FULL). */
-object Fig10Scheduling {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.session("fig10")
-    println(Experiments.fig10Scheduling(spark, Harness.scale(args)).render)
-    spark.stop()
-  }
-}
-
-/** Fig. 11 — query-count scalability (Random). */
-object Fig11QueryScalability {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.session("fig11")
-    println(Experiments.fig11QueryScalability(spark, Harness.scale(args)).render)
-    spark.stop()
-  }
-}
-
-/** Fig. 12 — query time vs dataset size (8 nodes). */
-object Fig12DataSize {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.session("fig12")
-    println(Experiments.fig12DataSize(spark).render)
-    println(Experiments.fig12DataSize(spark, dataset = "Yan-TtI").render)
-    spark.stop()
-  }
-}
-
-/** Fig. 13 — throughput (Random, FULL). */
-object Fig13Throughput {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.session("fig13")
-    println(Experiments.fig13Throughput(spark, Harness.scale(args)).render)
-    spark.stop()
-  }
-}
-
-/** Fig. 14 — index sizes per replication strategy. */
-object Fig14IndexSize {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.session("fig14")
-    println(Experiments.fig14IndexSize(spark, Harness.scale(args)).render)
-    spark.stop()
-  }
-}
-
-/** Fig. 15 — replication strategies (Seismic, WORK-STEAL-PREDICT). */
-object Fig15Replication {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.session("fig15")
-    val (a, b) = Experiments.fig15Replication(spark, Harness.scale(args))
-    println(a.render); println(b.render)
-    spark.stop()
-  }
-}
-
-/** Fig. 16 — replication on the other real datasets. */
-object Fig16RealDatasets {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.session("fig16")
-    println(Experiments.fig16RealDatasets(spark, Harness.scale(args)).render)
-    spark.stop()
-  }
-}
-
-/** Fig. 17a-c — index-build scalability. */
-object Fig17IndexScalability {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.session("fig17abc")
-    val (a, b, c) = Experiments.fig17IndexScalability(spark)
-    println(a.render); println(b.render); println(c.render)
-    spark.stop()
-  }
-}
-
-/** Fig. 17d — comparison against DMESSI / DMESSI-SW-BSF / DPiSAX. */
-object Fig17dCompetitors {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.session("fig17d")
-    println(Experiments.fig17dCompetitors(spark, Harness.scale(args)).render)
-    spark.stop()
-  }
-}
-
-/** Fig. 18 — 10-NN (Random). */
-object Fig18Knn {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.session("fig18")
-    println(Experiments.fig18Knn(spark, Harness.scale(args)).render)
-    spark.stop()
-  }
-}
-
-/** Fig. 19 — DTW with 5% warping (Random). */
-object Fig19Dtw {
-  def main(args: Array[String]): Unit = {
-    val spark = Harness.session("fig19")
-    println(Experiments.fig19Dtw(spark, Harness.scale(args)).render)
-    spark.stop()
+    try exhibit(spark, scale).foreach(t => println(t.render))
+    finally SparkSession.getDefaultSession.foreach(_.stop())
   }
 }

@@ -28,11 +28,4 @@ object Competitors {
     ClusterConfig(nNodes, k = nNodes,
       partitioner = k => Dpisax.partition(spec, k, ic.w),
       scheduler = Static, steal = false, bsfShare = false, indexConfig = ic)
-
-  /** Odyssey with a chosen replication level / partitioner / scheduler. */
-  def odyssey(nNodes: Int, k: Int, partitioner: Int => Partitioner,
-              scheduler: SchedulerKind = PredictDn, steal: Boolean = true,
-              ic: IndexConfig = IndexConfig()): ClusterConfig =
-    ClusterConfig(nNodes, k, partitioner, scheduler, steal = steal,
-                  bsfShare = true, indexConfig = ic)
 }

@@ -48,31 +48,50 @@ final case class RunResult(
 
 object OdysseyCluster {
 
-  /** Run the five-stage pipeline for one configuration. */
+  /** Run the five-stage pipeline for one configuration: the Spark
+    * measurement, then the driver-side simulation of it.
+    */
   def run(spark: SparkSession, spec: DatasetSpec, queries: Array[Array[Double]],
           cfg: ClusterConfig,
-          predictor: Option[Prediction.LinearModel] = None): RunResult = {
+          predictor: Option[Prediction.LinearModel] = None): RunResult =
+    simulate(measure(spark, spec, queries, cfg), cfg, predictor)
+
+  /** Stages 1-2-4 (Spark): one index per chunk, built once, and every query
+    * answered exactly on every chunk. With the BSF channel on and more than
+    * one group to share across, an approximate-only job first yields each
+    * query's best initial BSF, which the exact search on every chunk then
+    * starts from. No scheduling or stealing happens here: the reports depend
+    * on `cfg.k`, `partitioner`, `bsfShare`, `params`, `indexConfig` and
+    * `thresholds` only, so configs that agree on those share one measurement.
+    */
+  def measure(spark: SparkSession, spec: DatasetSpec, queries: Array[Array[Double]],
+              cfg: ClusterConfig): Seq[ChunkReport] = {
     val layout = Layout(cfg.nNodes, cfg.k)
     val part = cfg.partitioner(layout.nChunks)
     require(part.nChunks == layout.nChunks, "partitioner chunk count mismatch")
-    val chunkOf = part.chunkOf _
-
-    // Stages 1-2-4 (measurement): one index per chunk, built once. With the
-    // BSF channel on and more than one group to share across, an
-    // approximate-only job yields each query's best initial BSF, which the
-    // exact search on every chunk then starts from.
-    val reports = DistributedSearch.withIndexes(spark, spec, chunkOf, cfg.indexConfig) { indexes =>
+    DistributedSearch.withIndexes(spark, spec, part.chunkOf _, cfg.indexConfig) { indexes =>
       val bounds =
         if (cfg.bsfShare && layout.nChunks > 1) DistributedSearch.approxBounds(indexes, queries, cfg.params)
         else Map.empty[Int, Double]
       DistributedSearch.answer(indexes, queries, cfg.params, bounds, cfg.thresholds)
     }
+  }
+
+  /** Stages 3 and 5 and the timing, on the driver, from measured reports: a
+    * pure function that runs no Spark job. It reads `cfg.nNodes`, `k`,
+    * `scheduler`, `steal`, `nSend`, `threads` and `params.k`; `reports` must
+    * come from [[measure]] under a config that agrees with `cfg` on what
+    * `measure` reads.
+    */
+  def simulate(reports: Seq[ChunkReport], cfg: ClusterConfig,
+               predictor: Option[Prediction.LinearModel] = None): RunResult = {
+    val layout = Layout(cfg.nNodes, cfg.k)
 
     // Stage 5: exact global answers by merging per-chunk top-k lists.
     val answers = DistributedSearch.mergeAnswers(reports, cfg.params.k)
 
     // Stage 3 + timing: schedule and steal inside each replication group.
-    val qids = queries.indices.toSeq
+    val qids = reports.head.queries.map(_.qid)
     var worstGroup = 0.0
     var steals = 0
     reports.foreach { rep =>

@@ -119,18 +119,6 @@ object ISax {
     math.sqrt(acc)
   }
 
-  /** PAA-to-PAA lower bound of ED (tighter than SAX-based for leaf entries). */
-  def mindistPaaToPaa(a: Array[Double], b: Array[Double], segSizes: Array[Int]): Double = {
-    var acc = 0.0
-    var i = 0
-    while (i < a.length) {
-      val d = a(i) - b(i)
-      acc += segSizes(i) * d * d
-      i += 1
-    }
-    math.sqrt(acc)
-  }
-
   /** MINDIST between a query *envelope* (PAA of the LB_Keogh upper/lower
     * envelopes) and an iSAX word — lower bound of DTW(query, s) for series
     * s in the word's region (Keogh & Ratanamahatana 2005, LB_PAA).
@@ -150,20 +138,6 @@ object ISax {
                   else 0.0
         acc += segSizes(i) * d * d
       }
-      i += 1
-    }
-    math.sqrt(acc)
-  }
-
-  /** Envelope-to-PAA lower bound of DTW for leaf entries. */
-  def mindistEnvToPaa(upPaa: Array[Double], loPaa: Array[Double],
-                      paa: Array[Double], segSizes: Array[Int]): Double = {
-    var acc = 0.0
-    var i = 0
-    while (i < upPaa.length) {
-      val v = paa(i)
-      val d = if (v > upPaa(i)) v - upPaa(i) else if (v < loPaa(i)) loPaa(i) - v else 0.0
-      acc += segSizes(i) * d * d
       i += 1
     }
     math.sqrt(acc)

@@ -113,11 +113,14 @@ object Experiments {
       ("PREDICT-ST-UNSORTED", PredictStUnsorted, false), ("PREDICT-ST", PredictSt, false),
       ("PREDICT-DN", PredictDn, false),
       ("WORK-STEAL", Dynamic, true), ("WORK-STEAL-PREDICT", PredictDn, true))
+    // FULL replication: one chunk whatever the node count, so every config
+    // simulates the same measurement
+    val base = ClusterConfig(1, 1, rs, params = sp, indexConfig = ic)
+    val reports = OdysseyCluster.measure(spark, spec, queries, base)
     val rows = algos.map { case (name, kind, steal) =>
       val times = nodes.map { nn =>
-        val cfg = ClusterConfig(nn, 1, rs, scheduler = kind, steal = steal,
-                                params = sp, indexConfig = ic)
-        f(OdysseyCluster.run(spark, spec, queries, cfg, Some(pred)).querySecs)
+        val cfg = base.copy(nNodes = nn, scheduler = kind, steal = steal)
+        f(OdysseyCluster.simulate(reports, cfg, Some(pred)).querySecs)
       }
       name +: times
     }
@@ -170,10 +173,11 @@ object Experiments {
   def fig13Throughput(spark: SparkSession, s: Scale = Scale()): Table = {
     val spec = SeriesGen.presets.random(s.n)
     val queries = SeriesGen.queries(spec, s.nQueries)
+    val base = ClusterConfig(1, 1, rs, scheduler = Dynamic, steal = true,
+                             params = sp, indexConfig = ic)
+    val reports = OdysseyCluster.measure(spark, spec, queries, base)
     val rows = Seq(1, 2, 4, 8, 16).map { nn =>
-      val cfg = ClusterConfig(nn, 1, rs, scheduler = Dynamic, steal = true,
-                              params = sp, indexConfig = ic)
-      val t = OdysseyCluster.run(spark, spec, queries, cfg).querySecs
+      val t = OdysseyCluster.simulate(reports, base.copy(nNodes = nn)).querySecs
       Seq(nn.toString, f(t), f(queries.length / t))
     }
     Table("Fig. 13: WORK-STEAL throughput (Random, FULL)",
@@ -286,12 +290,12 @@ object Experiments {
       ("DMESSI", nn => Competitors.dmessi(nn, spec, ic)),
       ("DMESSI-SW-BSF", nn => Competitors.dmessiSwBsf(nn, spec, ic)),
       ("DPISAX", nn => Competitors.dpisax(nn, spec, ic)),
-      ("ODYSSEY EQUALLY-SPLIT", nn => Competitors.odyssey(nn, nn,
-        k => Partitioning.EquallySplit(spec.n.toLong, k), ic = ic)),
-      ("ODYSSEY EQUALLY-SPLIT-RS", nn => Competitors.odyssey(nn, nn, rs, ic = ic)),
-      ("ODYSSEY DENSITY-AWARE", nn => Competitors.odyssey(nn, nn,
-        k => Partitioning.densityAware(spec, k, ic.w, lambda = 16), ic = ic)),
-      ("ODYSSEY FULL (WS-PREDICT)", nn => Competitors.odyssey(nn, 1, rs, ic = ic)),
+      ("ODYSSEY EQUALLY-SPLIT", nn => ClusterConfig(nn, nn,
+        k => Partitioning.EquallySplit(spec.n.toLong, k), indexConfig = ic)),
+      ("ODYSSEY EQUALLY-SPLIT-RS", nn => ClusterConfig(nn, nn, rs, indexConfig = ic)),
+      ("ODYSSEY DENSITY-AWARE", nn => ClusterConfig(nn, nn,
+        k => Partitioning.densityAware(spec, k, ic.w, lambda = 16), indexConfig = ic)),
+      ("ODYSSEY FULL (WS-PREDICT)", nn => ClusterConfig(nn, 1, rs, indexConfig = ic)),
     ).map { case (name, mk) => name +: nodes.map(nn => run(mk(nn))) }
     Table("Fig. 17d: query secs vs competitors (Seismic)",
           "system" +: nodes.map(n => s"$n nodes"), rows)

@@ -42,7 +42,6 @@ final case class QueryRun(
     nLeavesTouched: Long,
     nRealDists: Long) {
   def bestDist: Double = if (topK.isEmpty) Double.PositiveInfinity else topK.head._1
-  def bestId: Long = if (topK.isEmpty) -1L else topK.head._2
 }
 
 /** Precomputed query context shared by all phases. */

@@ -19,10 +19,7 @@ final case class QueryStatRow(
     topKDists: Seq[Double], topKIds: Seq[Long],
     approxBsf: Double, approxOps: Long,
     batchOps: Seq[Long], tasks: Seq[PqTaskRow],
-    totalOps: Long, nRealDists: Long) {
-  def bestDist: Double = if (topKDists.isEmpty) Double.PositiveInfinity else topKDists.head
-  def bestId: Long = if (topKIds.isEmpty) -1L else topKIds.head
-}
+    totalOps: Long, nRealDists: Long)
 
 object QueryStatRow {
   /** The row of one chunk's exact search for query `qid`. */

@@ -7,7 +7,7 @@ import repro.SparkSpec
 import repro.baselines.{Competitors, Dpisax}
 import repro.core.SeriesGen
 import repro.core.SeriesGen.presets
-import repro.index.{Search, SearchParams}
+import repro.index.{IndexConfig, Search, SearchParams}
 import repro.spark.DistributedSearch
 
 class OdysseyClusterSpec extends SparkSpec {
@@ -21,6 +21,8 @@ class OdysseyClusterSpec extends SparkSpec {
   }
 
   private def eqSplit(k: Int): Partitioner = Partitioning.RandomShuffle(k)
+
+  private lazy val predictor = OdysseyCluster.trainPredictor(spark, spec, nTrain = 10)
 
   /** What Spark ran while `body` ran: shuffle bytes written plus read, and
     * each completed stage's task count in stage order.
@@ -123,20 +125,62 @@ class OdysseyClusterSpec extends SparkSpec {
     val chunkOf = eqSplit(2).chunkOf _
     OdysseyCluster.run(spark, spec, queries.take(2), cfg)
     assert(cached.isEmpty)
+    OdysseyCluster.measure(spark, spec, queries.take(2), cfg)
+    assert(cached.isEmpty)
     DistributedSearch.run(spark, spec, chunkOf, queries.take(2), SearchParams())
     assert(cached.isEmpty)
     val ragged = Array(queries(0) :+ 0.0)
     intercept[Exception](OdysseyCluster.run(spark, spec, ragged, cfg))
     assert(cached.isEmpty)
+    intercept[Exception](OdysseyCluster.measure(spark, spec, ragged, cfg))
+    assert(cached.isEmpty)
     intercept[Exception](DistributedSearch.run(spark, spec, chunkOf, ragged, SearchParams()))
     assert(cached.isEmpty)
   }
 
+  /** Fig. 10 at test scale: its seven (scheduler, steal) rows and its FULL
+    * config with the experiments' TH and index shape, on a collection large
+    * enough that PREDICT-DN with stealing steals (at n = 600 nothing does).
+    */
+  private val fig10Algorithms = Seq(
+    Static -> false, Dynamic -> false, PredictStUnsorted -> false, PredictSt -> false,
+    PredictDn -> false, Dynamic -> true, PredictDn -> true)
+  private val fig10Base = ClusterConfig(1, 1, eqSplit, params = SearchParams(threshold = 16),
+                                        indexConfig = IndexConfig(w = 8, leafCapacity = 32))
+  private lazy val fig10Spec = presets.seismic(4096)
+  private lazy val fig10Queries = SeriesGen.queries(fig10Spec, 20)
+  private lazy val fig10Predictor = OdysseyCluster.trainPredictor(spark, fig10Spec, nTrain = 10)
+
+  test("run equals simulate over one shared measurement on the Fig. 10 grid") {
+    val reports = OdysseyCluster.measure(spark, fig10Spec, fig10Queries, fig10Base)
+    val secs = for (nn <- Seq(1, 8); (sched, steal) <- fig10Algorithms) yield {
+      val cfg = fig10Base.copy(nNodes = nn, scheduler = sched, steal = steal)
+      val run = OdysseyCluster.run(spark, fig10Spec, fig10Queries, cfg, Some(fig10Predictor))
+      val sim = OdysseyCluster.simulate(reports, cfg, Some(fig10Predictor))
+      run.productElementNames.zip(run.productIterator.zip(sim.productIterator)).foreach {
+        case (field, (r, s)) => assert(s == r, s"$field (nodes=$nn, ${sched.name}, steal=$steal)")
+      }
+      run.querySecs
+    }
+    assert(secs.distinct.size > 1, "every config simulated to the same time")
+  }
+
+  test("simulate is pure: the same reports give equal results and run no Spark stage") {
+    val cfg = fig10Base.copy(nNodes = 8, scheduler = PredictDn, steal = true)
+    val reports = OdysseyCluster.measure(spark, fig10Spec, fig10Queries, cfg)
+    val model = fig10Predictor // trained before the listener starts: training runs Spark jobs
+    val (ran, (a, b)) = seen((OdysseyCluster.simulate(reports, cfg, Some(model)),
+                              OdysseyCluster.simulate(reports, cfg, Some(model))))
+    assert(ran.stageTasks.isEmpty, "a Spark stage ran")
+    assert(a.nSteals > 0, "no steal, so the seeded victim choice went untested")
+    assert(a == b)
+  }
+
   test("all schedulers give identical answers, different times") {
-    val predictor = OdysseyCluster.trainPredictor(spark, spec, nTrain = 10)
+    val base = ClusterConfig(8, 1, eqSplit, steal = false)
+    val reports = OdysseyCluster.measure(spark, spec, queries, base)
     val times = Seq(Static, Dynamic, PredictStUnsorted, PredictSt, PredictDn).map { s =>
-      val cfg = ClusterConfig(8, 1, eqSplit, scheduler = s, steal = false)
-      val res = OdysseyCluster.run(spark, spec, queries, cfg, Some(predictor))
+      val res = OdysseyCluster.simulate(reports, base.copy(scheduler = s), Some(predictor))
       queries.indices.foreach(q => assert(math.abs(res.answers(q).head._1 - brute(q)) < 1e-9))
       s.name -> res.querySecs
     }.toMap
@@ -175,15 +219,11 @@ class OdysseyClusterSpec extends SparkSpec {
     assert(dm.k == 4 && !dm.bsfShare && !dm.steal)
     val sw = Competitors.dmessiSwBsf(4, spec)
     assert(sw.bsfShare && !sw.steal)
-    val od = Competitors.odyssey(4, 1, eqSplit)
-    assert(od.bsfShare && od.steal && od.k == 1)
   }
 
   test("DMESSI and Odyssey-FULL agree on answers; Odyssey is not slower") {
     val dm = OdysseyCluster.run(spark, spec, queries, Competitors.dmessi(4, spec))
-    val predictor = OdysseyCluster.trainPredictor(spark, spec, nTrain = 10)
-    val od = OdysseyCluster.run(spark, spec, queries,
-      Competitors.odyssey(4, 1, eqSplit), Some(predictor))
+    val od = OdysseyCluster.run(spark, spec, queries, ClusterConfig(4, 1, eqSplit), Some(predictor))
     queries.indices.foreach { q =>
       assert(math.abs(dm.answers(q).head._1 - od.answers(q).head._1) < 1e-9)
     }
@@ -219,8 +259,9 @@ class OdysseyClusterSpec extends SparkSpec {
     val skewed = SeriesGen.queries(spec, 12, easyFrac = 0.85) ++
       Array(SeriesGen.query(spec, 999, easyFrac = 0.0)) // one hard straggler
     val base = ClusterConfig(8, 1, eqSplit, scheduler = Dynamic)
-    val ns = OdysseyCluster.run(spark, spec, skewed, base.copy(steal = false))
-    val ws = OdysseyCluster.run(spark, spec, skewed, base.copy(steal = true))
+    val reports = OdysseyCluster.measure(spark, spec, skewed, base)
+    val ns = OdysseyCluster.simulate(reports, base.copy(steal = false))
+    val ws = OdysseyCluster.simulate(reports, base.copy(steal = true))
     // at this tiny scale the unstealable serial phase dominates, so only
     // require that stealing never hurts materially
     assert(ws.querySecs <= ns.querySecs * 1.1 + 1e-6,

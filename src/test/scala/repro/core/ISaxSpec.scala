@@ -88,7 +88,6 @@ class ISaxSpec extends AnyFunSuite {
       val real = Distances.ed(a, b)
       val bitsFull = Array.fill(w)(ISax.MaxBits)
       assert(ISax.mindistPaaToWord(pa, sizes, sb, bitsFull) <= real + 1e-9)
-      assert(ISax.mindistPaaToPaa(pa, pb, sizes) <= real + 1e-9)
       // coarser words only loosen the bound
       for (bits <- 1 to ISax.MaxBits) {
         val word = sb.map(_ >>> (ISax.MaxBits - bits))
@@ -109,7 +108,6 @@ class ISaxSpec extends AnyFunSuite {
       val pb = Paa.of(b, w); val sb = ISax.word(pb)
       val dtw = Distances.dtwBand(a, b, r, Double.PositiveInfinity, new Cost)
       assert(ISax.mindistEnvToWord(upPaa, loPaa, sizes, sb, Array.fill(w)(ISax.MaxBits)) <= dtw + 1e-9)
-      assert(ISax.mindistEnvToPaa(upPaa, loPaa, pb, sizes) <= dtw + 1e-9)
     }
   }
 

@@ -137,13 +137,4 @@ class DistributedSearchSpec extends SparkSpec {
                                         thresholds = Some((fit, 16.0)))
     reports.flatMap(_.queries).flatMap(_.tasks).foreach(t => assert(t.leaves <= 3))
   }
-
-  test("SynthData data-series entry points produce the documented shapes") {
-    val df = repro.SynthData.dataSeries(spark, "Deep", 50)
-    assert(df.columns.toSeq == Seq("id", "values"))
-    assert(df.count() == 50)
-    val ex = repro.SynthData.dataSeriesExploded(spark, "Deep", 10)
-    assert(ex.columns.toSeq == Seq("id", "pos", "val"))
-    assert(ex.count() == 10L * 96)
-  }
 }
