@@ -1,6 +1,6 @@
 package repro.cluster
 
-import repro.index.QueryRun
+import repro.index.{PqStat, QueryRun}
 
 /** Intra-node timing (§3.2.1): converts one [[QueryRun]]'s op breakdown
   * into the three phases a node spends on a query.
@@ -17,22 +17,22 @@ object IntraNodeSim {
 
   val HelpTH = 4
 
-  /** One PQ-processing task: which RS-batch owns it and its single-thread ops. */
-  final case class TaskWork(batchId: Int, ops: Long)
-
   /** Per-(node, query) execution plan consumed by [[StealSim]].
     *
-    * @param rebuildOps what a *stealing* node pays to re-traverse batch b
-    *                   and reconstruct its queues from its own replica
+    * @param tasks    the run's priority queues in processed order; each is
+    *                 one atomic PQ-processing task of `procOps` ops
+    * @param batchOps per RS-batch traversal ops: what a *stealing* node pays
+    *                 to re-traverse batch b and rebuild its queues from its
+    *                 own replica
     */
   final case class QueryWork(qid: Int, serialOps: Long, traversalSecs: Double,
-                             tasks: Vector[TaskWork], rebuildOps: Map[Int, Long]) {
-    def pqOpsTotal: Long = tasks.iterator.map(_.ops).sum
+                             tasks: Vector[PqStat], batchOps: Array[Long]) {
+    def pqOpsTotal: Long = tasks.iterator.map(_.procOps).sum
 
     /** Undisturbed single-node execution time on `threads` threads. */
     def soloSecs(threads: Int): Double =
       CostModel.serialSecs(serialOps) + traversalSecs +
-        listScheduleMakespan(tasks.map(t => CostModel.serialSecs(t.ops)), threads)
+        listScheduleMakespan(tasks.map(t => CostModel.serialSecs(t.procOps)), threads)
   }
 
   /** Makespan of atomic tasks pulled in order by `threads` workers. */
@@ -56,14 +56,7 @@ object IntraNodeSim {
   }
 
   /** Build the [[QueryWork]] plan for a measured run. */
-  def plan(qid: Int, run: QueryRun, threads: Int = CostModel.ThreadsPerNode): QueryWork = {
-    val rebuild = run.batchOps.zipWithIndex.map { case (ops, b) => b -> ops }.toMap
-    QueryWork(
-      qid,
-      serialOps = run.approxOps,
-      traversalSecs = traversalSecs(run.batchOps, threads),
-      tasks = run.pqStats.iterator.map(s => TaskWork(s.batchId, s.procOps)).toVector,
-      rebuildOps = rebuild,
-    )
-  }
+  def plan(qid: Int, run: QueryRun, threads: Int = CostModel.ThreadsPerNode): QueryWork =
+    QueryWork(qid, serialOps = run.approxOps, traversalSecs = traversalSecs(run.batchOps, threads),
+              tasks = run.pqStats.toVector, batchOps = run.batchOps)
 }

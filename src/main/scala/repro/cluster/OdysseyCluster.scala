@@ -3,7 +3,7 @@ package repro.cluster
 import org.apache.spark.sql.SparkSession
 import repro.core.SeriesGen
 import repro.core.SeriesGen.DatasetSpec
-import repro.index.{IndexConfig, SearchParams, ThresholdModel}
+import repro.index.{IndexConfig, QueryRun, SearchParams, ThresholdModel}
 import repro.index.ThresholdModel.SigmoidFit
 import repro.spark.{BuildStatRow, ChunkReport, DistributedSearch, QueryStatRow}
 
@@ -63,13 +63,14 @@ object OdysseyCluster {
     * starts from. No scheduling or stealing happens here: the reports depend
     * on `cfg.k`, `partitioner`, `bsfShare`, `params`, `indexConfig` and
     * `thresholds` only, so configs that agree on those share one measurement.
+    * A query of the wrong length or with a non-finite value fails first.
     */
   def measure(spark: SparkSession, spec: DatasetSpec, queries: Array[Array[Double]],
               cfg: ClusterConfig): Seq[ChunkReport] = {
     val layout = Layout(cfg.nNodes, cfg.k)
     val part = cfg.partitioner(layout.nChunks)
     require(part.nChunks == layout.nChunks, "partitioner chunk count mismatch")
-    DistributedSearch.withIndexes(spark, spec, part.chunkOf _, cfg.indexConfig) { indexes =>
+    DistributedSearch.withIndexes(spark, spec, part.chunkOf _, cfg.indexConfig, queries) { indexes =>
       val bounds =
         if (cfg.bsfShare && layout.nChunks > 1) DistributedSearch.approxBounds(indexes, queries, cfg.params)
         else Map.empty[Int, Double]
@@ -121,43 +122,39 @@ object OdysseyCluster {
     * Every touched leaf lands in exactly one priority queue, so the queues'
     * leaf counts sum to the leaves touched.
     */
-  private def toRun(qs: QueryStatRow): repro.index.QueryRun =
-    repro.index.QueryRun(
+  private def toRun(qs: QueryStatRow): QueryRun =
+    QueryRun(
       topK = qs.topKDists.zip(qs.topKIds).toList,
       approxBsf = qs.approxBsf, approxOps = qs.approxOps,
-      batchOps = qs.batchOps.toArray,
-      pqStats = qs.tasks.iterator.map(t => repro.index.PqStat(t.batchId, t.topLb, t.leaves, t.procOps)).toArray,
+      batchOps = qs.batchOps.toArray, pqStats = qs.tasks.toArray,
       totalOps = qs.totalOps, nLeavesTouched = qs.tasks.iterator.map(_.leaves.toLong).sum,
       nRealDists = qs.nRealDists)
 
-  /** Fit the paper's linear cost predictor (Fig. 4) on training queries run
-    * against a FULL (single-chunk) index of the collection.
+  /** The training pass of the predictor and TH fits: `nTrain` training
+    * queries answered against a FULL (single-chunk) index of the collection.
     */
+  def trainingRows(spark: SparkSession, spec: DatasetSpec, nTrain: Int, params: SearchParams,
+                   indexConfig: IndexConfig): Seq[QueryStatRow] =
+    DistributedSearch.run(spark, spec, _ => 0, SeriesGen.trainingQueries(spec, nTrain),
+                          params, indexConfig).head.queries
+
+  /** The paper's linear cost predictor (Fig. 4): total ops on initial BSF. */
+  def fitPredictor(rows: Seq[QueryStatRow]): Prediction.LinearModel =
+    Prediction.fitOls(rows.map(_.approxBsf), rows.map(_.totalOps.toDouble))
+
+  /** Fit the cost predictor on `nTrain` training queries. */
   def trainPredictor(spark: SparkSession, spec: DatasetSpec, nTrain: Int,
                      params: SearchParams = SearchParams(),
-                     indexConfig: IndexConfig = IndexConfig()): Prediction.LinearModel = {
-    val tq = SeriesGen.trainingQueries(spec, nTrain)
-    val rep = DistributedSearch.run(spark, spec, _ => 0, tq, params, indexConfig)
-    val stats = rep.head.queries
-    Prediction.fitOls(stats.map(_.approxBsf), stats.map(_.totalOps.toDouble))
-  }
+                     indexConfig: IndexConfig = IndexConfig()): Prediction.LinearModel =
+    fitPredictor(trainingRows(spark, spec, nTrain, params, indexConfig))
 
   /** Fit the TH sigmoid (Fig. 6a) on training queries: x = initial BSF,
     * y = median uncapped PQ size.
     */
   def trainThreshold(spark: SparkSession, spec: DatasetSpec, nTrain: Int,
                      params: SearchParams = SearchParams(),
-                     indexConfig: IndexConfig = IndexConfig()): SigmoidFit = {
-    val tq = SeriesGen.trainingQueries(spec, nTrain)
-    val rep = DistributedSearch.run(spark, spec, _ => 0, tq,
-                                    params.copy(threshold = Int.MaxValue), indexConfig)
-    val pts = rep.head.queries.map { qs =>
-      val sizes = qs.tasks.map(_.leaves.toDouble).sorted
-      val med = if (sizes.isEmpty) 0.0
-                else if (sizes.length % 2 == 1) sizes(sizes.length / 2)
-                else (sizes(sizes.length / 2 - 1) + sizes(sizes.length / 2)) / 2
-      (qs.approxBsf, med)
-    }
-    ThresholdModel.fit(pts)
-  }
+                     indexConfig: IndexConfig = IndexConfig()): SigmoidFit =
+    ThresholdModel.fit(
+      trainingRows(spark, spec, nTrain, params.copy(threshold = Int.MaxValue), indexConfig)
+        .map(qs => (qs.approxBsf, ThresholdModel.medianPqSize(qs.tasks))))
 }

@@ -1,8 +1,9 @@
 package repro.cluster
 
 import scala.collection.mutable
-import repro.cluster.IntraNodeSim.{QueryWork, TaskWork}
+import repro.cluster.IntraNodeSim.QueryWork
 import repro.core.Rng
+import repro.index.PqStat
 
 /** Event-driven simulation of one replication group answering a query
   * batch (§3.1 scheduling + §3.2.2 work stealing).
@@ -33,44 +34,41 @@ object StealSim {
                                nSteals: Int, stolenOps: Long, processedOps: Long)
 
   /** One scheduled PQ task: absolute [start, end) on a specific thread. */
-  private final case class Slot(task: TaskWork, start: Double, end: Double, thread: Int)
+  private final case class Slot(task: PqStat, start: Double, end: Double, thread: Int)
 
-  /** List-schedule `tasks` in order onto threads with given absolute free
-    * times; returns the slots and the updated thread clocks.
+  /** List-schedule `tasks` in order onto threads whose absolute free times
+    * are `clocks`, advancing them.
     */
-  private def schedule(tasks: Seq[TaskWork], threadFree: Array[Double],
-                       rate1: Double): (Vector[Slot], Array[Double]) = {
-    val clocks = threadFree.clone()
+  private def schedule(tasks: Seq[PqStat], clocks: Array[Double], rate1: Double): Vector[Slot] = {
     val slots = Vector.newBuilder[Slot]
     tasks.foreach { tk =>
       val th = clocks.indices.minBy(clocks)
       val start = clocks(th)
-      val end = start + tk.ops / rate1
+      val end = start + tk.procOps / rate1
       slots += Slot(tk, start, end, th)
       clocks(th) = end
     }
-    (slots.result(), clocks)
+    slots.result()
   }
 
   private final class Running(val qw: QueryWork, val pqStart: Double,
                               threads: Int, rate1: Double) {
-    var slots: Vector[Slot] = schedule(qw.tasks, Array.fill(threads)(pqStart), rate1)._1
+    var slots: Vector[Slot] = schedule(qw.tasks, Array.fill(threads)(pqStart), rate1)
     val stolenBatches: mutable.Set[Int] = mutable.Set.empty
     def finish: Double = if (slots.isEmpty) pqStart else slots.map(_.end).max
 
     /** Slots not yet started at `t` (stealable region). */
     def pendingAt(t: Double): Vector[Slot] = slots.filter(_.start > t)
 
-    /** Remove the given tasks (by identity within pending) and reschedule
+    /** Drop the tasks of `batches` not yet started at `t` and reschedule
       * the remaining pending slots onto the threads' current availability.
       */
-    def remove(t: Double, taken: Set[TaskWork], threads: Int, rate1: Double): Unit = {
+    def remove(t: Double, batches: collection.Set[Int]): Unit = {
       val (fixed, pending) = slots.partition(_.start <= t)
-      val keepPending = pending.filterNot(s => taken.contains(s.task))
+      val keepPending = pending.filterNot(s => batches(s.task.batchId))
       val threadFree = Array.fill(threads)(t)
       fixed.foreach(s => threadFree(s.thread) = math.max(threadFree(s.thread), s.end))
-      val (resched, _) = schedule(keepPending.map(_.task), threadFree, rate1)
-      slots = fixed ++ resched
+      slots = fixed ++ schedule(keepPending.map(_.task), threadFree, rate1)
     }
   }
 
@@ -159,24 +157,24 @@ object StealSim {
       val taken = ordered.filter(s => chosen(s.task.batchId)).map(_.task)
       // profitability guard: giving away less work than the handshake costs
       // would only slow the system down — the victim declines (|S| = 0)
-      if (taken.isEmpty || taken.map(_.ops).sum < 2 * HandshakeOps) return false
+      if (taken.isEmpty || taken.map(_.procOps).sum < 2 * HandshakeOps) return false
       r.stolenBatches ++= chosen
-      r.remove(t, taken.toSet, threads, rate1)
+      r.remove(t, chosen)
       st.version += 1
       st.lastActive = r.finish
       events.enqueue((st.lastActive, m, st.version))
       // thief: handshake + rebuild of the stolen batches + processing,
       // list-scheduled on its own threads
-      val rebuild = chosen.iterator.map(b => r.qw.rebuildOps.getOrElse(b, 0L)).sum
+      val rebuild = chosen.iterator.map(r.qw.batchOps(_)).sum
       val serialPart = (HandshakeOps + rebuild) / rate1
       val me = nodes(n)
-      val (slots, _) = schedule(taken, Array.fill(threads)(t + serialPart), rate1)
+      val slots = schedule(taken, Array.fill(threads)(t + serialPart), rate1)
       val busyUntil = if (slots.isEmpty) t + serialPart else slots.map(_.end).max
       me.version += 1
       me.stealBusyUntil = busyUntil
       me.lastActive = busyUntil
       nSteals += 1
-      val ops = HandshakeOps + rebuild + taken.map(_.ops).sum
+      val ops = HandshakeOps + rebuild + taken.map(_.procOps).sum
       stolenOps += ops
       processedOps += ops
       events.enqueue((busyUntil, n, me.version))

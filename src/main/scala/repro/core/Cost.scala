@@ -11,5 +11,4 @@ package repro.core
 final class Cost {
   var ops: Long = 0L
   @inline def add(n: Long): Unit = ops += n
-  @inline def reset(): Unit = ops = 0L
 }

@@ -18,7 +18,9 @@ import repro.index.{Dtw, IndexConfig, SearchParams}
 object Experiments {
 
   /** Reproduction-scale knobs (override for bigger runs via jobs args). */
-  final case class Scale(n: Int = 4096, nQueries: Int = 40, nTrain: Int = 24)
+  final case class Scale(n: Int = 4096, nQueries: Int = 40)
+
+  private val NTrain = 24 // training queries of the cost predictor and the TH fit
 
   final case class Table(title: String, header: Seq[String], rows: Seq[Seq[String]]) {
     def render: String = {
@@ -46,8 +48,8 @@ object Experiments {
 
   private def rs(k: Int): Partitioner = Partitioning.RandomShuffle(k)
 
-  private def predictor(spark: SparkSession, spec: DatasetSpec, s: Scale) =
-    OdysseyCluster.trainPredictor(spark, spec, s.nTrain, indexConfig = ic)
+  private def predictor(spark: SparkSession, spec: DatasetSpec) =
+    OdysseyCluster.trainPredictor(spark, spec, NTrain, indexConfig = ic)
 
   // ---------------------------------------------------------------- Table 1
   def table1(s: Scale = Scale()): Table = {
@@ -69,10 +71,8 @@ object Experiments {
   /** Linear regression of query cost on initial BSF (Seismic). */
   def fig04Prediction(spark: SparkSession, s: Scale = Scale()): Table = {
     val spec = SeriesGen.presets.seismic(s.n)
-    val tq = SeriesGen.trainingQueries(spec, s.nTrain * 2)
-    val rep = repro.spark.DistributedSearch.run(spark, spec, _ => 0, tq, SearchParams(), ic)
-    val stats = rep.head.queries
-    val m = Prediction.fitOls(stats.map(_.approxBsf), stats.map(_.totalOps.toDouble))
+    val stats = OdysseyCluster.trainingRows(spark, spec, NTrain * 2, SearchParams(), ic)
+    val m = OdysseyCluster.fitPredictor(stats)
     val sample = stats.sortBy(_.approxBsf).grouped(math.max(1, stats.length / 8)).map(_.head).toSeq
     Table("Fig. 4: execution-cost vs initial BSF (Seismic), linear fit",
       Seq("initial BSF", "measured ops", "predicted ops"),
@@ -85,7 +85,7 @@ object Experiments {
   /** Sigmoid TH fit + division-factor sweep (Seismic). */
   def fig06Threshold(spark: SparkSession, s: Scale = Scale()): (Table, Table) = {
     val spec = SeriesGen.presets.seismic(s.n)
-    val fit = OdysseyCluster.trainThreshold(spark, spec, s.nTrain, indexConfig = ic)
+    val fit = OdysseyCluster.trainThreshold(spark, spec, NTrain, indexConfig = ic)
     val fitTable = Table("Fig. 6a: sigmoid fit of median PQ size vs initial BSF (Seismic)",
       Seq("m", "M", "b", "c", "d"),
       Seq(Seq(f(fit.m), f(fit.M), f(fit.b), f(fit.c), f(fit.d))))
@@ -103,11 +103,11 @@ object Experiments {
 
   // ---------------------------------------------------------------- Fig. 10
   /** Scheduling algorithms on Seismic, FULL replication, vs node count. */
-  def fig10Scheduling(spark: SparkSession, s: Scale = Scale(),
-                      nodes: Seq[Int] = Seq(1, 2, 4, 8, 16)): Table = {
+  def fig10Scheduling(spark: SparkSession, s: Scale = Scale()): Table = {
+    val nodes = Seq(1, 2, 4, 8, 16)
     val spec = SeriesGen.presets.seismic(s.n)
     val queries = SeriesGen.queries(spec, s.nQueries)
-    val pred = predictor(spark, spec, s)
+    val pred = predictor(spark, spec)
     val algos: Seq[(String, SchedulerKind, Boolean)] = Seq(
       ("STATIC", Static, false), ("DYNAMIC", Dynamic, false),
       ("PREDICT-ST-UNSORTED", PredictStUnsorted, false), ("PREDICT-ST", PredictSt, false),
@@ -130,8 +130,8 @@ object Experiments {
 
   // ---------------------------------------------------------------- Fig. 11
   /** Query-count scalability: j nodes answering j x q0 queries (Random). */
-  def fig11QueryScalability(spark: SparkSession, s: Scale = Scale(),
-                            q0: Int = 25): Table = {
+  def fig11QueryScalability(spark: SparkSession, s: Scale = Scale()): Table = {
+    val q0 = 25
     val spec = SeriesGen.presets.random(s.n)
     val rows = for ((name, k) <- Seq(("FULL", 1), ("PARTIAL-2", 2), ("PARTIAL-4", 4))) yield {
       val times = Seq(1, 2, 4, 8).map { j =>
@@ -151,20 +151,20 @@ object Experiments {
 
   // ---------------------------------------------------------------- Fig. 12
   /** Query time vs dataset size, 8 nodes, per replication strategy. */
-  def fig12DataSize(spark: SparkSession, sizes: Seq[Int] = Seq(1024, 2048, 4096, 8192),
-                    dataset: String = "Random", nQueries: Int = 25): Table = {
+  def fig12DataSize(spark: SparkSession, dataset: String = "Random"): Table = {
+    val sizes = Seq(1024, 2048, 4096, 8192)
     val rows = for (k <- Seq(1, 2, 4, 8)) yield {
       val name = Layout(8, k).name
       val times = sizes.map { n =>
         val spec = SeriesGen.presets.byName(dataset, n)
-        val queries = SeriesGen.queries(spec, nQueries)
+        val queries = SeriesGen.queries(spec, 25)
         val cfg = ClusterConfig(8, k, rs, scheduler = Dynamic, steal = true,
                                 params = sp, indexConfig = ic)
         f(OdysseyCluster.run(spark, spec, queries, cfg).querySecs)
       }
       name +: times
     }
-    Table(s"Fig. 12: query secs for $nQueries queries vs dataset size ($dataset, 8 nodes)",
+    Table(s"Fig. 12: query secs for 25 queries vs dataset size ($dataset, 8 nodes)",
           "strategy" +: sizes.map(n => s"n=$n"), rows)
   }
 
@@ -206,10 +206,10 @@ object Experiments {
   /** Replication strategies on Seismic with WORK-STEAL-PREDICT: query time
     * and total time as the batch grows.
     */
-  def fig15Replication(spark: SparkSession, s: Scale = Scale(),
-                       queryCounts: Seq[Int] = Seq(5, 25, 100, 200)): (Table, Table) = {
+  def fig15Replication(spark: SparkSession, s: Scale = Scale()): (Table, Table) = {
+    val queryCounts = Seq(5, 25, 100, 200)
     val spec = SeriesGen.presets.seismic(s.n)
-    val pred = predictor(spark, spec, s)
+    val pred = predictor(spark, spec)
     val results = for (k <- Seq(8, 4, 2, 1); nq <- queryCounts) yield {
       val queries = SeriesGen.queries(spec, nq)
       val cfg = ClusterConfig(8, k, rs, scheduler = PredictDn, steal = true,
@@ -228,11 +228,10 @@ object Experiments {
 
   // ---------------------------------------------------------------- Fig. 16
   /** Replication strategies on the other real datasets, 100 queries. */
-  def fig16RealDatasets(spark: SparkSession, s: Scale = Scale(),
-                        nQueries: Int = 100): Table = {
+  def fig16RealDatasets(spark: SparkSession, s: Scale = Scale()): Table = {
     val rows = Seq("Astro", "Deep", "Sift", "Yan-TtI").map { name =>
       val spec = SeriesGen.presets.byName(name, s.n)
-      val queries = SeriesGen.queries(spec, nQueries)
+      val queries = SeriesGen.queries(spec, 100)
       val times = Seq(8, 4, 2, 1).map { k =>
         val cfg = ClusterConfig(8, k, rs, scheduler = PredictDn, steal = true,
                                 params = sp, indexConfig = ic)
@@ -240,7 +239,7 @@ object Experiments {
       }
       name +: times
     }
-    Table(s"Fig. 16: query secs by replication, $nQueries queries, 8 nodes",
+    Table("Fig. 16: query secs by replication, 100 queries, 8 nodes",
           "dataset" +: Seq(8, 4, 2, 1).map(k => Layout(8, k).name), rows)
   }
 
@@ -279,11 +278,11 @@ object Experiments {
   }
 
   /** Fig. 17d: WORK-STEAL-PREDICT vs competitors + partitioning schemes. */
-  def fig17dCompetitors(spark: SparkSession, s: Scale = Scale(),
-                        nodes: Seq[Int] = Seq(4, 8)): Table = {
+  def fig17dCompetitors(spark: SparkSession, s: Scale = Scale()): Table = {
+    val nodes = Seq(4, 8)
     val spec = SeriesGen.presets.seismic(s.n)
     val queries = SeriesGen.queries(spec, s.nQueries)
-    val pred = predictor(spark, spec, s)
+    val pred = predictor(spark, spec)
     def run(cfg: ClusterConfig): String =
       f(OdysseyCluster.run(spark, spec, queries, cfg.copy(params = sp), Some(pred)).querySecs)
     val rows = Seq[(String, Int => ClusterConfig)](
@@ -303,23 +302,21 @@ object Experiments {
 
   // ---------------------------------------------------------------- Fig. 18
   /** 10-NN query answering (Random), replication x nodes. */
-  def fig18Knn(spark: SparkSession, s: Scale = Scale(), k: Int = 10,
-               nQueries: Int = 25): Table = {
+  def fig18Knn(spark: SparkSession, s: Scale = Scale(), k: Int = 10): Table = {
     val spec = SeriesGen.presets.random(s.n)
-    val queries = SeriesGen.queries(spec, nQueries)
+    val queries = SeriesGen.queries(spec, 25)
     knnDtwSweep(spark, spec, queries, SearchParams(k = k),
                 s"Fig. 18: $k-NN query secs (Random)")
   }
 
   // ---------------------------------------------------------------- Fig. 19
   /** DTW with 5% warping (Random), replication x nodes. */
-  def fig19Dtw(spark: SparkSession, s: Scale = Scale(), warpFrac: Double = 0.05,
-               nQueries: Int = 25): Table = {
+  def fig19Dtw(spark: SparkSession, s: Scale = Scale()): Table = {
     val spec = SeriesGen.presets.random(s.n)
-    val queries = SeriesGen.queries(spec, nQueries)
-    val r = math.max(1, (spec.length * warpFrac).toInt)
+    val queries = SeriesGen.queries(spec, 25)
+    val r = math.max(1, (spec.length * 0.05).toInt)
     knnDtwSweep(spark, spec, queries, SearchParams(mode = Dtw(r)),
-                s"Fig. 19: DTW ${(warpFrac * 100).toInt}%% warping query secs (Random)")
+                "Fig. 19: DTW 5%% warping query secs (Random)")
   }
 
   private def knnDtwSweep(spark: SparkSession, spec: DatasetSpec,

@@ -240,9 +240,12 @@ object Search {
 
   /** Approximate search: descend to the leaf matching the query word and
     * scan it — gives the initial BSF (§2, Fig. 2). Returns the heap of the
-    * k best leaf candidates (real distances to actual series).
+    * k best leaf candidates (real distances to actual series). The query
+    * must be as long as the indexed series; [[exact]] relies on this check.
     */
   def approx(index: IsaxIndex, ctx: QueryCtx, cost: Cost, k: Int = 1): KnnHeap = {
+    require(ctx.values.length == index.length,
+            s"query of ${ctx.values.length} points against series of ${index.length}")
     val heap = new KnnHeap(k)
     val roots = index.roots
     if (roots.isEmpty) return heap

@@ -19,15 +19,14 @@ object ThresholdModel {
     def apply(z: Double): Double = m + (M - m) / (1 + b * math.exp(-c * (z - d)))
   }
 
-  /** Median of uncapped PQ sizes for one run (the fit's target variable). */
-  def medianPqSize(run: QueryRun): Double = {
-    if (run.pqStats.isEmpty) 0.0
+  /** Median leaf count of a run's queues, 0 if none (uncapped: the fit's target). */
+  def medianPqSize(queues: Seq[PqStat]): Double =
+    if (queues.isEmpty) 0.0
     else {
-      val sizes = run.pqStats.map(_.leaves.toDouble).sorted
+      val sizes = queues.map(_.leaves.toDouble).sorted
       val n = sizes.length
       if (n % 2 == 1) sizes(n / 2) else (sizes(n / 2 - 1) + sizes(n / 2)) / 2
     }
-  }
 
   /** Least-squares sigmoid fit of (initialBSF, medianPqSize) points. */
   def fit(points: Seq[(Double, Double)]): SigmoidFit = {

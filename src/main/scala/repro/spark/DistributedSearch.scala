@@ -5,20 +5,18 @@ import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
 import repro.core.{Cost, SeriesGen}
 import repro.core.SeriesGen.DatasetSpec
-import repro.index.{BuildStats, IndexConfig, IsaxIndex, QueryCtx, QueryRun, Search, SearchParams}
+import repro.index.{BuildStats, IndexConfig, IsaxIndex, PqStat, QueryCtx, QueryRun, Search, SearchParams}
 import repro.index.ThresholdModel.SigmoidFit
 
-/** One processed priority queue, flattened for the driver. */
-final case class PqTaskRow(batchId: Int, topLb: Double, leaves: Int, procOps: Long)
-
 /** Per-(chunk, query) measurement: the local answer plus the op breakdown
-  * the cluster simulator needs.
+  * the cluster simulator needs. `tasks` are the run's processed priority
+  * queues, in processed order, as `Search.exact` recorded them.
   */
 final case class QueryStatRow(
     chunk: Int, qid: Int,
     topKDists: Seq[Double], topKIds: Seq[Long],
     approxBsf: Double, approxOps: Long,
-    batchOps: Seq[Long], tasks: Seq[PqTaskRow],
+    batchOps: Seq[Long], tasks: Seq[PqStat],
     totalOps: Long, nRealDists: Long)
 
 object QueryStatRow {
@@ -28,7 +26,7 @@ object QueryStatRow {
       topKDists = run.topK.map(_._1), topKIds = run.topK.map(_._2),
       approxBsf = run.approxBsf, approxOps = run.approxOps,
       batchOps = run.batchOps.toSeq,
-      tasks = run.pqStats.iterator.map(s => PqTaskRow(s.batchId, s.topLb, s.leaves, s.procOps)).toSeq,
+      tasks = run.pqStats.toSeq,
       totalOps = run.totalOps, nRealDists = run.nRealDists)
 }
 
@@ -54,28 +52,30 @@ final case class ChunkReport(build: BuildStatRow, queries: Seq[QueryStatRow])
   */
 object DistributedSearch {
 
-  /** Build every chunk's index and answer `queries` on it.
-    *
-    * @param startBounds per-qid shared BSF bound (k-th best) from a previous
-    *                    pass — empty map = LOCAL (no sharing)
-    * @param thresholds  optional (sigmoid fit, division factor) pair driving
-    *                    per-query TH from the local initial BSF
-    */
+  /** Build every chunk's index and answer `queries` on it. */
   def run(spark: SparkSession, spec: DatasetSpec, chunkOf: Long => Int,
           queries: Array[Array[Double]], params: SearchParams,
-          indexConfig: IndexConfig = IndexConfig(),
-          startBounds: Map[Int, Double] = Map.empty,
-          thresholds: Option[(SigmoidFit, Double)] = None): Seq[ChunkReport] =
-    withIndexes(spark, spec, chunkOf, indexConfig)(answer(_, queries, params, startBounds, thresholds))
+          indexConfig: IndexConfig = IndexConfig()): Seq[ChunkReport] =
+    withIndexes(spark, spec, chunkOf, indexConfig, queries)(answer(_, queries, params, Map.empty, None))
 
-  /** Build the chunk indexes, hand them to `use`, and release them
-    * afterwards, also when `use` throws.
+  /** Check `queries` against `spec` on the driver, build the chunk indexes,
+    * hand them to `use`, and release them afterwards, also when `use` throws.
+    * A bad query or chunk assignment fails before any Spark job.
     */
   def withIndexes[T](spark: SparkSession, spec: DatasetSpec, chunkOf: Long => Int,
-                     indexConfig: IndexConfig)(use: RDD[(Int, IsaxIndex)] => T): T = {
+                     indexConfig: IndexConfig, queries: Array[Array[Double]])
+                    (use: RDD[(Int, IsaxIndex)] => T): T = {
+    checkQueries(spec, queries)
     val indexes = buildIndexes(spark, spec, chunkOf, indexConfig)
     try use(indexes) finally indexes.unpersist(blocking = true)
   }
+
+  /** Every query must have `spec.length` values, all of them finite. */
+  private def checkQueries(spec: DatasetSpec, queries: Array[Array[Double]]): Unit =
+    queries.zipWithIndex.foreach { case (q, qid) =>
+      require(q.length == spec.length, s"query $qid has ${q.length} values, the series have ${spec.length}")
+      require(q.forall(java.lang.Double.isFinite), s"query $qid holds a NaN or an infinity")
+    }
 
   /** Build one index per chunk, one task per chunk, cached in memory by the
     * first job that uses it. Each task generates exactly the series its
@@ -122,7 +122,11 @@ object DistributedSearch {
     qs.indices.map(qid => qid -> perChunk.map(_(qid)).min).toMap
   }
 
-  /** Answer `queries` exactly on every cached chunk index. */
+  /** Answer `queries` exactly on every cached chunk index. A query starts
+    * from its `startBounds` entry, if any (none = LOCAL, no sharing); with
+    * `thresholds` = (sigmoid fit, division factor) its TH follows from its
+    * local initial BSF.
+    */
   def answer(indexes: RDD[(Int, IsaxIndex)], queries: Array[Array[Double]], params: SearchParams,
              startBounds: Map[Int, Double],
              thresholds: Option[(SigmoidFit, Double)]): Seq[ChunkReport] = {

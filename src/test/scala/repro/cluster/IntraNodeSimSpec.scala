@@ -1,7 +1,7 @@
 package repro.cluster
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.cluster.IntraNodeSim.{QueryWork, TaskWork}
+import repro.cluster.IntraNodeSim.QueryWork
 import repro.index.{PqStat, QueryRun}
 
 class IntraNodeSimSpec extends AnyFunSuite {
@@ -56,14 +56,14 @@ class IntraNodeSimSpec extends AnyFunSuite {
     val qw = IntraNodeSim.plan(3, run)
     assert(qw.qid == 3)
     assert(qw.serialOps == 500L)
-    assert(qw.tasks == Vector(TaskWork(0, 1000L), TaskWork(1, 2000L)))
-    assert(qw.rebuildOps == Map(0 -> 100L, 1 -> 200L))
+    assert(qw.tasks == run.pqStats.toVector)
+    assert(qw.batchOps.toSeq == Seq(100L, 200L))
     assert(qw.pqOpsTotal == 3000L)
   }
 
   test("soloSecs sums the three phases") {
     val qw = QueryWork(0, serialOps = 100000000L, traversalSecs = 0.5,
-      tasks = Vector(TaskWork(0, 160000000L)), rebuildOps = Map(0 -> 1L))
+      tasks = Vector(PqStat(0, 0.0, 1, 160000000L)), batchOps = Array(1L))
     val t = 16
     val expected = CostModel.serialSecs(100000000L) + 0.5 +
       IntraNodeSim.listScheduleMakespan(Seq(CostModel.serialSecs(160000000L)), t)

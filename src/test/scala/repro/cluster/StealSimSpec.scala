@@ -1,7 +1,8 @@
 package repro.cluster
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.cluster.IntraNodeSim.{QueryWork, TaskWork}
+import repro.cluster.IntraNodeSim.QueryWork
+import repro.index.PqStat
 
 class StealSimSpec extends AnyFunSuite {
 
@@ -9,8 +10,8 @@ class StealSimSpec extends AnyFunSuite {
   private def work(qid: Int, nTasks: Int, opsEach: Long,
                    serial: Long = 0L, traversal: Double = 0.0): QueryWork =
     QueryWork(qid, serial, traversal,
-      Vector.tabulate(nTasks)(i => TaskWork(i, opsEach)),
-      (0 until nTasks).map(i => i -> opsEach / 10).toMap)
+      Vector.tabulate(nTasks)(i => PqStat(i, i.toDouble, 1, opsEach)),
+      Array.fill(nTasks)(opsEach / 10))
 
   private def sim(nNodes: Int, works: Map[Int, QueryWork], kind: SchedulerKind = Static,
                   steal: Boolean = false, est: Int => Double = _ => 1.0) =

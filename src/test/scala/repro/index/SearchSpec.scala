@@ -190,6 +190,16 @@ class SearchSpec extends AnyFunSuite {
     }
   }
 
+  test("a query of another length than the series is rejected") {
+    val spec = presets.seismic(300)
+    val idx = IsaxIndex.build(dataset(300, "Seismic").iterator, IndexConfig(w = 8))
+    for (query <- Seq(SeriesGen.query(spec, 0).take(200), SeriesGen.query(spec, 0) :+ 0.0)) {
+      intercept[IllegalArgumentException](Search.exact(idx, query, SearchParams()))
+      intercept[IllegalArgumentException](
+        Search.approx(idx, new QueryCtx(query, Euclidean, 8, idx.segSizes), new repro.core.Cost))
+    }
+  }
+
   // ---- op-count regression: every QueryRun field over a fixed grid ----
   // `OpCountHash` was recorded at the parent commit of the per-query
   // lower-bound table, the cached root order and the primitive queues, when

@@ -57,7 +57,9 @@ class ThresholdModelSpec extends AnyFunSuite {
     val run = QueryRun(List((1.0, 1L)), 1.0, 1L, Array(0L),
       Array(PqStat(0, 0.1, 4, 10), PqStat(0, 0.2, 8, 10), PqStat(1, 0.3, 6, 10)),
       30, 3, 1)
-    assert(ThresholdModel.medianPqSize(run) == 6.0)
+    assert(ThresholdModel.medianPqSize(run.pqStats.toSeq) == 6.0)
+    assert(ThresholdModel.medianPqSize(run.pqStats.toSeq.take(2)) == 6.0)
+    assert(ThresholdModel.medianPqSize(Seq.empty) == 0.0)
   }
 
   test("fit rejects empty input") {

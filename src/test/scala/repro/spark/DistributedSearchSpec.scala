@@ -83,8 +83,8 @@ class DistributedSearchSpec extends SparkSpec {
     val local = DistributedSearch.run(spark, spec, part.chunkOf, queries, SearchParams())
     val bounds = local.flatMap(_.queries).groupBy(_.qid)
       .view.mapValues(_.map(_.approxBsf).min).toMap
-    val shared = DistributedSearch.run(spark, spec, part.chunkOf, queries, SearchParams(),
-                                       startBounds = bounds)
+    val shared = DistributedSearch.withIndexes(spark, spec, part.chunkOf, IndexConfig(), queries)(
+      DistributedSearch.answer(_, queries, SearchParams(), bounds, None))
     val aL = DistributedSearch.mergeAnswers(local, 1)
     val aS = DistributedSearch.mergeAnswers(shared, 1)
     queries.indices.foreach(q => assert(math.abs(aL(q).head._1 - aS(q).head._1) < 1e-9))
@@ -133,8 +133,10 @@ class DistributedSearchSpec extends SparkSpec {
     val queries = SeriesGen.queries(spec, 3)
     // a flat sigmoid forcing TH = 48/16 = 3
     val fit = repro.index.ThresholdModel.SigmoidFit(48, 48, 1, 1, 0)
-    val reports = DistributedSearch.run(spark, spec, _ => 0, queries, SearchParams(),
-                                        thresholds = Some((fit, 16.0)))
-    reports.flatMap(_.queries).flatMap(_.tasks).foreach(t => assert(t.leaves <= 3))
+    val reports = DistributedSearch.withIndexes(spark, spec, _ => 0, IndexConfig(), queries)(
+      DistributedSearch.answer(_, queries, SearchParams(), Map.empty, Some((fit, 16.0))))
+    val tasks = reports.flatMap(_.queries).flatMap(_.tasks)
+    assert(tasks.nonEmpty)
+    tasks.foreach(t => assert(t.leaves <= 3))
   }
 }
