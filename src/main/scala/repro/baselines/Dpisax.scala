@@ -2,7 +2,7 @@ package repro.baselines
 
 import scala.collection.mutable
 import repro.cluster.Partitioning
-import repro.core.{ISax, Paa, Rng}
+import repro.core.{Blocks, ISax, Paa, Rng}
 import repro.core.SeriesGen.DatasetSpec
 
 /** DPiSAX data partitioning (Yagoubi et al., TKDE 2020) — the competitor's
@@ -20,7 +20,9 @@ import repro.core.SeriesGen.DatasetSpec
   * cardinality of its least-refined segment until there are at least
   * `nChunks` buckets; then greedily bin-pack buckets (largest first) onto
   * the least-loaded chunk. Series in regions unseen in the sample follow
-  * their nearest (longest-prefix) bucket.
+  * their nearest (longest-prefix) bucket. Words and chunks are computed in
+  * parallel [[repro.core.Blocks]], by sample or id position, and consumed
+  * in that order.
   */
 object Dpisax {
 
@@ -47,7 +49,7 @@ object Dpisax {
       ISax.word(Paa.of(repro.core.SeriesGen.series(spec, id), w))
 
     // seed buckets: occupied first-bit words
-    val sampleSax = sample.map(saxOf)
+    val sampleSax = Blocks.tabulate(sampleN)(i => saxOf(sample(i)))
     val seedMap = mutable.HashMap.empty[Int, Bucket]
     sampleSax.foreach { sax =>
       val word = sax.map(_ >>> (ISax.MaxBits - 1))
@@ -97,7 +99,8 @@ object Dpisax {
         // no prefix matches (region empty in the sample): hash for coverage
         (ISax.rootKey(sax) % nChunks + nChunks) % nChunks
       }
-    val assign = (0L until spec.n.toLong).map(id => id -> chunkOfSax(saxOf(id))).toMap
+    val chunks = Blocks.tabulate(spec.n)(id => chunkOfSax(saxOf(id.toLong)))
+    val assign = chunks.indices.map(id => id.toLong -> chunks(id)).toMap
     Partitioning.Table("DPISAX", nChunks, assign)
   }
 }

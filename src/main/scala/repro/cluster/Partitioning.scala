@@ -1,7 +1,7 @@
 package repro.cluster
 
 import scala.collection.mutable
-import repro.core.{Gray, ISax, Paa, Rng}
+import repro.core.{Blocks, Gray, ISax, Paa, Rng}
 import repro.core.SeriesGen.DatasetSpec
 
 /** Assignment of series ids to chunks (one chunk per replication group). */
@@ -42,8 +42,9 @@ object Partitioning {
 
   /** DENSITY-AWARE partitioning (§3.4.1, Figs. 8–9).
     *
-    * 1. compute every series' iSAX summary and group ids into
-    *    summarization buffers (first-bit root words);
+    * 1. compute every series' iSAX summary (in parallel [[Blocks]]) and
+    *    group ids, in id order, into summarization buffers (first-bit root
+    *    words);
     * 2. order the buffers by Gray-code rank of their word;
     * 3. split the λ largest buffers' members round-robin across chunks
     *    (dense buffers must not land on one node);
@@ -54,14 +55,11 @@ object Partitioning {
     */
   def densityAware(spec: DatasetSpec, nChunks: Int, w: Int, lambda: Int = 400,
                    toleranceFrac: Double = 0.05): Table = {
-    val buffers = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Long]]
-    var id = 0L
-    while (id < spec.n) {
-      val paa = Paa.of(repro.core.SeriesGen.series(spec, id), w)
-      val key = ISax.rootKey(ISax.word(paa))
-      buffers.getOrElseUpdate(key, mutable.ArrayBuffer.empty) += id
-      id += 1
+    val keys = Blocks.tabulate(spec.n) { id =>
+      ISax.rootKey(ISax.word(Paa.of(repro.core.SeriesGen.series(spec, id.toLong), w)))
     }
+    val buffers = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Long]]
+    keys.indices.foreach(id => buffers.getOrElseUpdate(keys(id), mutable.ArrayBuffer.empty) += id.toLong)
     val assign = mutable.HashMap.empty[Long, Int]
     val load = new Array[Long](nChunks)
     var rr = 0

@@ -316,7 +316,7 @@ object Experiments {
     val queries = SeriesGen.queries(spec, 25)
     val r = math.max(1, (spec.length * 0.05).toInt)
     knnDtwSweep(spark, spec, queries, SearchParams(mode = Dtw(r)),
-                "Fig. 19: DTW 5%% warping query secs (Random)")
+                "Fig. 19: DTW 5% warping query secs (Random)")
   }
 
   private def knnDtwSweep(spark: SparkSession, spec: DatasetSpec,

@@ -1,7 +1,7 @@
 package repro.index
 
 import scala.collection.{immutable, mutable}
-import repro.core.{Cost, ISax, Paa}
+import repro.core.{Blocks, Cost, ISax, Paa}
 
 /** Index build configuration.
   *
@@ -39,11 +39,11 @@ final case class BuildStats(nSeries: Long, bufferOps: Long, treeOps: Long,
 /** In-memory iSAX index over one data chunk (the per-node index of §3.2.1).
   *
   * Construction mirrors the single-node parallel indexes of §2: compute
-  * every series' summary (the "summarization buffer" pass — here the
-  * grouping of entries by first-bit root word), then insert each buffer's
-  * entries into its own root subtree. `rootsSorted` exposes the subtrees
-  * in root-word order, sorted once; the searcher groups consecutive
-  * subtrees into RS-batches.
+  * every series' summary in parallel blocks (the "summarization buffer"
+  * pass), then insert the entries one by one, in chunk order, each into the
+  * root subtree of its first-bit word. `rootsSorted` exposes the subtrees in
+  * root-word order, sorted once; the searcher groups consecutive subtrees
+  * into RS-batches.
   */
 final class IsaxIndex private (val config: IndexConfig, val length: Int) {
   val segSizes: Array[Int] = Paa.segmentSizes(length, config.w)
@@ -145,23 +145,37 @@ final class IsaxIndex private (val config: IndexConfig, val length: Int) {
 
 object IsaxIndex {
 
-  /** Summarize + index a chunk. `cost` is charged one op per point during
-    * summarization and one per tree-node visit during insertion.
+  /** Summarize + index a chunk given as `(id, series)` pairs, inserted in
+    * iteration order; see the id-array form.
     */
   def build(seriesIt: Iterator[(Long, Array[Double])], config: IndexConfig,
             cost: Cost = new Cost): IsaxIndex = {
-    var idx: IsaxIndex = null
-    seriesIt.foreach { case (id, values) =>
-      if (idx == null) idx = new IsaxIndex(config, values.length)
-      require(values.length == idx.length, s"ragged series length for id=$id")
-      val paa = Paa.of(values, config.w)
-      val sax = ISax.word(paa)
-      cost.add(values.length)
-      idx._nSeries += 1
-      idx.insert(new Entry(id, values, sax))
+    val (ids, values) = seriesIt.toArray.unzip
+    build(ids, values(_), config, cost)
+  }
+
+  /** Summarize + index the chunk whose position `i` holds series `ids(i)`,
+    * `seriesAt(i)`. Summaries (series, PAA, full-cardinality word) are
+    * computed in parallel [[Blocks]] on the common pool, so `seriesAt` must
+    * be a pure function of `i`; the entries then enter the tree one by one
+    * in position order, so every leaf, split and op count is that of a
+    * sequential build. `cost` is charged one op per point for summarization
+    * and one per tree-node visit during insertion.
+    */
+  def build(ids: Array[Long], seriesAt: Int => Array[Double], config: IndexConfig,
+            cost: Cost): IsaxIndex = {
+    require(ids.nonEmpty, "cannot build an index over an empty chunk")
+    val entries = Blocks.tabulate(ids.length) { i =>
+      val values = seriesAt(i)
+      new Entry(ids(i), values, ISax.word(Paa.of(values, config.w)))
     }
-    require(idx != null, "cannot build an index over an empty chunk")
-    cost.add(idx._treeOps)
+    val idx = new IsaxIndex(config, entries(0).values.length)
+    entries.foreach { e =>
+      require(e.values.length == idx.length, s"ragged series length for id=${e.id}")
+      idx.insert(e)
+    }
+    idx._nSeries = entries.length
+    cost.add(idx._nSeries * idx.length + idx._treeOps)
     idx
   }
 }

@@ -78,10 +78,11 @@ object DistributedSearch {
     }
 
   /** Build one index per chunk, one task per chunk, cached in memory by the
-    * first job that uses it. Each task generates exactly the series its
-    * chunk owns (`SeriesGen.series` is a pure function of `(spec, id)`) and
-    * streams them into `IsaxIndex.build` in ascending id order; leaf entry
-    * order, and so every op count, depends on it. A chunk that owns no
+    * first job that uses it. Each task hands `IsaxIndex.build` exactly the
+    * ids its chunk owns, in ascending order, and generates each series
+    * inside the build's parallel summarization (`SeriesGen.series` is a pure
+    * function of `(spec, id)`); the build inserts in that id order, on which
+    * leaf entry order, and so every op count, depends. A chunk that owns no
     * series emits no index.
     */
   private def buildIndexes(spark: SparkSession, spec: DatasetSpec, chunkOf: Long => Int,
@@ -89,10 +90,10 @@ object DistributedSearch {
     val nChunks = chunkCount(spec.n, chunkOf)
     spark.sparkContext.parallelize(0 until nChunks, nChunks)
       .flatMap { chunk =>
-        val series = Iterator.range(0, spec.n).map(_.toLong).filter(chunkOf(_) == chunk)
-          .map(id => id -> SeriesGen.series(spec, id))
-        if (series.hasNext) Iterator.single(chunk -> IsaxIndex.build(series, indexConfig))
-        else Iterator.empty
+        val ids = Array.range(0, spec.n).filter(chunkOf(_) == chunk).map(_.toLong)
+        if (ids.isEmpty) Iterator.empty
+        else Iterator.single(
+          chunk -> IsaxIndex.build(ids, i => SeriesGen.series(spec, ids(i)), indexConfig, new Cost))
       }
       .persist(StorageLevel.MEMORY_ONLY)
   }

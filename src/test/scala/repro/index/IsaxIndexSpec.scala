@@ -130,9 +130,57 @@ class IsaxIndexSpec extends AnyFunSuite {
   test("ragged series are rejected") {
     val bad = Iterator((0L, new Array[Double](64)), (1L, new Array[Double](65)))
     intercept[IllegalArgumentException](IsaxIndex.build(bad, IndexConfig()))
+    val longChunk = Array.tabulate(1000)(i => new Array[Double](if (i == 700) 65 else 64))
+    val e = intercept[IllegalArgumentException](
+      IsaxIndex.build(Array.tabulate(1000)(_.toLong), longChunk(_), IndexConfig(), new Cost))
+    assert(e.getMessage.contains("id=700"))
   }
 
   test("empty input is rejected") {
     intercept[IllegalArgumentException](IsaxIndex.build(Iterator.empty, IndexConfig()))
+    intercept[IllegalArgumentException](
+      IsaxIndex.build(Array.empty[Long], _ => new Array[Double](64), IndexConfig(), new Cost))
+  }
+
+  /** Everything a build decides: root keys, each leaf's id sequence, stats. */
+  private def shape(idx: IsaxIndex): (Seq[Int], Seq[Seq[Long]], BuildStats) =
+    (idx.rootsSorted.map(_._1),
+     idx.rootsSorted.flatMap { case (_, r) => collectLeaves(r) }.map(_.entries.map(_.id).toSeq),
+     idx.buildStats)
+
+  private val seismic = presets.byName("Seismic", 4096)
+  private val tightConfig = IndexConfig(w = 8, leafCapacity = 8)
+  private def seismicBuild(): IsaxIndex =
+    IsaxIndex.build(Array.tabulate(4096)(_.toLong), i => SeriesGen.series(seismic, i.toLong), tightConfig, new Cost)
+
+  test("every leaf holds its entries in strictly ascending id order") {
+    val (_, leaves, stats) = shape(seismicBuild())
+    assert(stats.nLeaves > 100, "leafCapacity 8 must split many times")
+    leaves.foreach(ids => assert(ids.sliding(2).forall(p => p.length < 2 || p(0) < p(1)), ids))
+  }
+
+  test("twenty builds of one chunk are identical") {
+    val first = shape(seismicBuild())
+    (1 until 20).foreach(_ => assert(shape(seismicBuild()) == first))
+  }
+
+  test("four builds on four threads at once equal a lone build") {
+    val lone = shape(seismicBuild())
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(4)
+    try {
+      val start = new java.util.concurrent.CountDownLatch(1)
+      val builds = (0 until 4).map(_ => pool.submit(() => { start.await(); shape(seismicBuild()) }))
+      start.countDown()
+      builds.foreach(f => assert(f.get() == lone))
+    } finally pool.shutdown()
+  }
+
+  test("a series that fails to generate fails the build") {
+    val e = intercept[IllegalArgumentException](
+      IsaxIndex.build(Array.tabulate(4096)(_.toLong), { i =>
+        require(i != 3001, "no series at position 3001")
+        SeriesGen.series(seismic, i.toLong)
+      }, tightConfig, new Cost))
+    assert(e.getMessage.contains("no series at position 3001"))
   }
 }
