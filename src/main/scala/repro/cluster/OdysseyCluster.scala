@@ -6,6 +6,7 @@ import repro.core.SeriesGen.DatasetSpec
 import repro.index.{IndexConfig, QueryRun, SearchParams, ThresholdModel}
 import repro.index.ThresholdModel.SigmoidFit
 import repro.spark.{BuildStatRow, ChunkReport, DistributedSearch, QueryStatRow}
+import repro.spark.DistributedSearch.ChunkIndexes
 
 /** Full Odyssey pipeline configuration (Fig. 3).
   *
@@ -48,34 +49,40 @@ final case class RunResult(
 
 object OdysseyCluster {
 
-  /** Run the five-stage pipeline for one configuration: the Spark
-    * measurement, then the driver-side simulation of it.
-    */
+  /** Run the five-stage pipeline for one configuration over its own build. */
   def run(spark: SparkSession, spec: DatasetSpec, queries: Array[Array[Double]],
           cfg: ClusterConfig,
           predictor: Option[Prediction.LinearModel] = None): RunResult =
-    simulate(measure(spark, spec, queries, cfg), cfg, predictor)
+    withIndexes(spark, spec, cfg)(run(_, queries, cfg, predictor))
 
-  /** Stages 1-2-4 (Spark): one index per chunk, built once, and every query
-    * answered exactly on every chunk. With the BSF channel on and more than
-    * one group to share across, an approximate-only job first yields each
-    * query's best initial BSF, which the exact search on every chunk then
-    * starts from. No scheduling or stealing happens here: the reports depend
-    * on `cfg.k`, `partitioner`, `bsfShare`, `params`, `indexConfig` and
-    * `thresholds` only, so configs that agree on those share one measurement.
-    * A query of the wrong length or with a non-finite value fails first.
+  /** The Spark measurement, then its driver-side simulation, over `indexes`. */
+  def run(indexes: ChunkIndexes, queries: Array[Array[Double]], cfg: ClusterConfig,
+          predictor: Option[Prediction.LinearModel]): RunResult =
+    simulate(measure(indexes, queries, cfg), cfg, predictor)
+
+  /** Lend `use` the chunk indexes of `spec` under `cfg`'s chunking and index config. */
+  def withIndexes[T](spark: SparkSession, spec: DatasetSpec, cfg: ClusterConfig)(use: ChunkIndexes => T): T = {
+    val part = cfg.partitioner(Layout(cfg.nNodes, cfg.k).nChunks)
+    DistributedSearch.withIndexes(spark, spec, part.chunkOf _, part.nChunks, cfg.indexConfig)(use)
+  }
+
+  /** Stages 1-2-4 (Spark): every query answered exactly on every chunk index,
+    * opened with `cfg`'s chunking and index config. With the BSF channel on
+    * and more than one group to share across, an approximate-only job first
+    * yields each query's best initial BSF, which the exact search on every
+    * chunk then starts from. No scheduling or stealing happens here: the
+    * reports depend on `cfg.k`, `partitioner`, `bsfShare`, `params`, `indexConfig`
+    * and `thresholds` only, so configs agreeing on those share one measurement.
     */
-  def measure(spark: SparkSession, spec: DatasetSpec, queries: Array[Array[Double]],
+  def measure(indexes: ChunkIndexes, queries: Array[Array[Double]],
               cfg: ClusterConfig): Seq[ChunkReport] = {
-    val layout = Layout(cfg.nNodes, cfg.k)
-    val part = cfg.partitioner(layout.nChunks)
-    require(part.nChunks == layout.nChunks, "partitioner chunk count mismatch")
-    DistributedSearch.withIndexes(spark, spec, part.chunkOf _, cfg.indexConfig, queries) { indexes =>
-      val bounds =
-        if (cfg.bsfShare && layout.nChunks > 1) DistributedSearch.approxBounds(indexes, queries, cfg.params)
-        else Map.empty[Int, Double]
-      DistributedSearch.answer(indexes, queries, cfg.params, bounds, cfg.thresholds)
-    }
+    val nChunks = Layout(cfg.nNodes, cfg.k).nChunks
+    require(nChunks == indexes.nChunks && cfg.indexConfig == indexes.indexConfig,
+      s"config: $nChunks chunks, ${cfg.indexConfig}; indexes: ${indexes.nChunks} chunks, ${indexes.indexConfig}")
+    val bounds =
+      if (cfg.bsfShare && nChunks > 1) DistributedSearch.approxBounds(indexes, queries, cfg.params)
+      else Map.empty[Int, Double]
+    DistributedSearch.answer(indexes, queries, cfg.params, bounds, cfg.thresholds)
   }
 
   /** Stages 3 and 5 and the timing, on the driver, from measured reports: a
@@ -133,28 +140,29 @@ object OdysseyCluster {
   /** The training pass of the predictor and TH fits: `nTrain` training
     * queries answered against a FULL (single-chunk) index of the collection.
     */
-  def trainingRows(spark: SparkSession, spec: DatasetSpec, nTrain: Int, params: SearchParams,
-                   indexConfig: IndexConfig): Seq[QueryStatRow] =
-    DistributedSearch.run(spark, spec, _ => 0, SeriesGen.trainingQueries(spec, nTrain),
-                          params, indexConfig).head.queries
+  def trainingRows(indexes: ChunkIndexes, nTrain: Int, params: SearchParams): Seq[QueryStatRow] = {
+    require(indexes.nChunks == 1, s"training needs a FULL index, not ${indexes.nChunks} chunks")
+    val queries = SeriesGen.trainingQueries(indexes.spec, nTrain)
+    DistributedSearch.answer(indexes, queries, params, Map.empty, None).head.queries
+  }
 
   /** The paper's linear cost predictor (Fig. 4): total ops on initial BSF. */
   def fitPredictor(rows: Seq[QueryStatRow]): Prediction.LinearModel =
     Prediction.fitOls(rows.map(_.approxBsf), rows.map(_.totalOps.toDouble))
 
-  /** Fit the cost predictor on `nTrain` training queries. */
+  /** Fit the cost predictor on `nTrain` training queries over one FULL build. */
   def trainPredictor(spark: SparkSession, spec: DatasetSpec, nTrain: Int,
                      params: SearchParams = SearchParams(),
                      indexConfig: IndexConfig = IndexConfig()): Prediction.LinearModel =
-    fitPredictor(trainingRows(spark, spec, nTrain, params, indexConfig))
+    DistributedSearch.withIndexes(spark, spec, _ => 0, 1, indexConfig)(
+      indexes => fitPredictor(trainingRows(indexes, nTrain, params)))
 
   /** Fit the TH sigmoid (Fig. 6a) on training queries: x = initial BSF,
     * y = median uncapped PQ size.
     */
-  def trainThreshold(spark: SparkSession, spec: DatasetSpec, nTrain: Int,
-                     params: SearchParams = SearchParams(),
-                     indexConfig: IndexConfig = IndexConfig()): SigmoidFit =
+  def trainThreshold(indexes: ChunkIndexes, nTrain: Int,
+                     params: SearchParams = SearchParams()): SigmoidFit =
     ThresholdModel.fit(
-      trainingRows(spark, spec, nTrain, params.copy(threshold = Int.MaxValue), indexConfig)
+      trainingRows(indexes, nTrain, params.copy(threshold = Int.MaxValue))
         .map(qs => (qs.approxBsf, ThresholdModel.medianPqSize(qs.tasks))))
 }

@@ -18,7 +18,8 @@ import repro.index.PqStat
   * Stealing follows Algorithms 3-4: an idle node picks a random still-active
   * victim; the victim gives away the queues of up to `nSend` RS-batches that
   * satisfy the Take-Away property (rightmost = largest top lower bound =
-  * most likely still unprocessed) and marks them stolen; the thief
+  * most likely still unprocessed) and drops every pending queue of them, so
+  * a stolen batch is never pending, nor stolen, again; the thief
   * re-traverses those batches on its own index replica (rebuild cost) and
   * processes them on its own threads.
   */
@@ -54,7 +55,6 @@ object StealSim {
   private final class Running(val qw: QueryWork, val pqStart: Double,
                               threads: Int, rate1: Double) {
     var slots: Vector[Slot] = schedule(qw.tasks, Array.fill(threads)(pqStart), rate1)
-    val stolenBatches: mutable.Set[Int] = mutable.Set.empty
     def finish: Double = if (slots.isEmpty) pqStart else slots.map(_.end).max
 
     /** Slots not yet started at `t` (stealable region). */
@@ -137,15 +137,12 @@ object StealSim {
 
     def attemptSteal(n: Int, t: Double): Boolean = {
       val candidates = nodes.indices.filter { m =>
-        m != n && nodes(m).current != null && {
-          val r = nodes(m).current
-          r.pendingAt(t).exists(s => !r.stolenBatches(s.task.batchId))
-        }
+        m != n && nodes(m).current != null && nodes(m).current.pendingAt(t).nonEmpty
       }
       if (candidates.isEmpty) return false
       val m = candidates(rng.nextInt(candidates.length))
       val st = nodes(m); val r = st.current
-      val pending = r.pendingAt(t).filterNot(s => r.stolenBatches(s.task.batchId))
+      val pending = r.pendingAt(t)
       // Take-Away property: from the rightmost (largest top-lb) queues, take
       // whole RS-batches until nSend batches are chosen. Task order in the
       // slots vector is the sorted PQ-array order, so "rightmost" = last.
@@ -158,7 +155,6 @@ object StealSim {
       // profitability guard: giving away less work than the handshake costs
       // would only slow the system down — the victim declines (|S| = 0)
       if (taken.isEmpty || taken.map(_.procOps).sum < 2 * HandshakeOps) return false
-      r.stolenBatches ++= chosen
       r.remove(t, chosen)
       st.version += 1
       st.lastActive = r.finish

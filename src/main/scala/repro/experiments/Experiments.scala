@@ -6,6 +6,7 @@ import repro.cluster._
 import repro.core.SeriesGen
 import repro.core.SeriesGen.DatasetSpec
 import repro.index.{Dtw, IndexConfig, SearchParams}
+import repro.spark.DistributedSearch.ChunkIndexes
 
 /** One experiment runner per evaluation exhibit (Table 1, Figs. 4-19).
   *
@@ -13,7 +14,8 @@ import repro.index.{Dtw, IndexConfig, SearchParams}
   * the bench suites print these tables (recorded in EXPERIMENTS.md) and
   * assert the paper's qualitative claims; the spark-submit jobs print them
   * standalone. Sizes default to reproduction scale (10^3-10^4 series) and
-  * can be scaled through `Scale`.
+  * can be scaled through `Scale`. Inside an exhibit, every run over the same
+  * spec, chunking and index config shares one build of the chunk indexes.
   */
 object Experiments {
 
@@ -48,8 +50,11 @@ object Experiments {
 
   private def rs(k: Int): Partitioner = Partitioning.RandomShuffle(k)
 
-  private def predictor(spark: SparkSession, spec: DatasetSpec) =
-    OdysseyCluster.trainPredictor(spark, spec, NTrain, indexConfig = ic)
+  /** FULL replication: one chunk, whatever the node count. */
+  private def full(nNodes: Int = 1) = ClusterConfig(nNodes, 1, rs, indexConfig = ic)
+
+  private def predictor(full: ChunkIndexes) =
+    OdysseyCluster.fitPredictor(OdysseyCluster.trainingRows(full, NTrain, SearchParams()))
 
   // ---------------------------------------------------------------- Table 1
   def table1(s: Scale = Scale()): Table = {
@@ -71,7 +76,8 @@ object Experiments {
   /** Linear regression of query cost on initial BSF (Seismic). */
   def fig04Prediction(spark: SparkSession, s: Scale = Scale()): Table = {
     val spec = SeriesGen.presets.seismic(s.n)
-    val stats = OdysseyCluster.trainingRows(spark, spec, NTrain * 2, SearchParams(), ic)
+    val stats = OdysseyCluster.withIndexes(spark, spec, full())(
+      OdysseyCluster.trainingRows(_, NTrain * 2, SearchParams()))
     val m = OdysseyCluster.fitPredictor(stats)
     val sample = stats.sortBy(_.approxBsf).grouped(math.max(1, stats.length / 8)).map(_.head).toSeq
     Table("Fig. 4: execution-cost vs initial BSF (Seismic), linear fit",
@@ -85,18 +91,19 @@ object Experiments {
   /** Sigmoid TH fit + division-factor sweep (Seismic). */
   def fig06Threshold(spark: SparkSession, s: Scale = Scale()): (Table, Table) = {
     val spec = SeriesGen.presets.seismic(s.n)
-    val fit = OdysseyCluster.trainThreshold(spark, spec, NTrain, indexConfig = ic)
+    val queries = SeriesGen.queries(spec, s.nQueries)
+    val factors = Seq(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+    // the TH training pass and every factor run share one FULL build
+    val (fit, rows) = OdysseyCluster.withIndexes(spark, spec, full()) { indexes =>
+      val fit = OdysseyCluster.trainThreshold(indexes, NTrain)
+      (fit, factors.map { factor =>
+        val cfg = full().copy(scheduler = Static, steal = false, thresholds = Some((fit, factor)))
+        Seq(factor.toInt.toString, f(OdysseyCluster.run(indexes, queries, cfg, None).querySecs))
+      })
+    }
     val fitTable = Table("Fig. 6a: sigmoid fit of median PQ size vs initial BSF (Seismic)",
       Seq("m", "M", "b", "c", "d"),
       Seq(Seq(f(fit.m), f(fit.M), f(fit.b), f(fit.c), f(fit.d))))
-    val queries = SeriesGen.queries(spec, s.nQueries)
-    val factors = Seq(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-    val rows = factors.map { factor =>
-      val cfg = ClusterConfig(1, 1, rs, scheduler = Static, steal = false,
-                              indexConfig = ic, thresholds = Some((fit, factor)))
-      val res = OdysseyCluster.run(spark, spec, queries, cfg)
-      Seq(factor.toInt.toString, f(res.querySecs))
-    }
     (fitTable, Table("Fig. 6b: query time vs TH division factor (Seismic, 1 node)",
                      Seq("division factor", "query secs (sim)"), rows))
   }
@@ -107,16 +114,16 @@ object Experiments {
     val nodes = Seq(1, 2, 4, 8, 16)
     val spec = SeriesGen.presets.seismic(s.n)
     val queries = SeriesGen.queries(spec, s.nQueries)
-    val pred = predictor(spark, spec)
     val algos: Seq[(String, SchedulerKind, Boolean)] = Seq(
       ("STATIC", Static, false), ("DYNAMIC", Dynamic, false),
       ("PREDICT-ST-UNSORTED", PredictStUnsorted, false), ("PREDICT-ST", PredictSt, false),
       ("PREDICT-DN", PredictDn, false),
       ("WORK-STEAL", Dynamic, true), ("WORK-STEAL-PREDICT", PredictDn, true))
     // FULL replication: one chunk whatever the node count, so every config
-    // simulates the same measurement
-    val base = ClusterConfig(1, 1, rs, params = sp, indexConfig = ic)
-    val reports = OdysseyCluster.measure(spark, spec, queries, base)
+    // simulates the same measurement, over the predictor's build
+    val base = full().copy(params = sp)
+    val (pred, reports) = OdysseyCluster.withIndexes(spark, spec, base)(
+      indexes => (predictor(indexes), OdysseyCluster.measure(indexes, queries, base)))
     val rows = algos.map { case (name, kind, steal) =>
       val times = nodes.map { nn =>
         val cfg = base.copy(nNodes = nn, scheduler = kind, steal = steal)
@@ -134,15 +141,13 @@ object Experiments {
     val q0 = 25
     val spec = SeriesGen.presets.random(s.n)
     val rows = for ((name, k) <- Seq(("FULL", 1), ("PARTIAL-2", 2), ("PARTIAL-4", 4))) yield {
-      val times = Seq(1, 2, 4, 8).map { j =>
+      val cfg = ClusterConfig(k, k, rs, scheduler = Dynamic, steal = true, params = sp, indexConfig = ic)
+      // k chunks at every node count: one build per row
+      val times = OdysseyCluster.withIndexes(spark, spec, cfg)(indexes => Seq(1, 2, 4, 8).map { j =>
         if (k > j) "-"
-        else {
-          val queries = SeriesGen.queries(spec, q0 * j)
-          val cfg = ClusterConfig(j, k, rs, scheduler = Dynamic, steal = true,
-                                  params = sp, indexConfig = ic)
-          f(OdysseyCluster.run(spark, spec, queries, cfg).querySecs)
-        }
-      }
+        else f(OdysseyCluster.run(indexes, SeriesGen.queries(spec, q0 * j), cfg.copy(nNodes = j), None)
+                 .querySecs)
+      })
       name +: times
     }
     Table(s"Fig. 11: WORK-STEAL, j nodes answering j*$q0 queries (Random, query secs)",
@@ -173,9 +178,8 @@ object Experiments {
   def fig13Throughput(spark: SparkSession, s: Scale = Scale()): Table = {
     val spec = SeriesGen.presets.random(s.n)
     val queries = SeriesGen.queries(spec, s.nQueries)
-    val base = ClusterConfig(1, 1, rs, scheduler = Dynamic, steal = true,
-                             params = sp, indexConfig = ic)
-    val reports = OdysseyCluster.measure(spark, spec, queries, base)
+    val base = full().copy(scheduler = Dynamic, params = sp)
+    val reports = OdysseyCluster.withIndexes(spark, spec, base)(OdysseyCluster.measure(_, queries, base))
     val rows = Seq(1, 2, 4, 8, 16).map { nn =>
       val t = OdysseyCluster.simulate(reports, base.copy(nNodes = nn)).querySecs
       Seq(nn.toString, f(t), f(queries.length / t))
@@ -209,14 +213,17 @@ object Experiments {
   def fig15Replication(spark: SparkSession, s: Scale = Scale()): (Table, Table) = {
     val queryCounts = Seq(5, 25, 100, 200)
     val spec = SeriesGen.presets.seismic(s.n)
-    val pred = predictor(spark, spec)
-    val results = for (k <- Seq(8, 4, 2, 1); nq <- queryCounts) yield {
-      val queries = SeriesGen.queries(spec, nq)
-      val cfg = ClusterConfig(8, k, rs, scheduler = PredictDn, steal = true,
-                              params = sp, indexConfig = ic)
-      ((k, nq), OdysseyCluster.run(spark, spec, queries, cfg, Some(pred)))
-    }
-    val m = results.toMap
+    def cfg(k: Int) = ClusterConfig(8, k, rs, scheduler = PredictDn, steal = true,
+                                    params = sp, indexConfig = ic)
+    // one build per k, every batch size over it; the predictor trains on FULL's
+    val m = OdysseyCluster.withIndexes(spark, spec, cfg(1)) { fullIndexes =>
+      val pred = Some(predictor(fullIndexes))
+      def results(indexes: ChunkIndexes, k: Int) = queryCounts.map { nq =>
+        (k, nq) -> OdysseyCluster.run(indexes, SeriesGen.queries(spec, nq), cfg(k), pred)
+      }
+      Seq(8, 4, 2).flatMap(k => OdysseyCluster.withIndexes(spark, spec, cfg(k))(results(_, k))) ++
+        results(fullIndexes, 1)
+    }.toMap
     def tab(title: String, pick: RunResult => Double) = Table(title,
       "strategy" +: queryCounts.map(q => s"$q queries"),
       Seq(8, 4, 2, 1).map { k =>
@@ -282,20 +289,28 @@ object Experiments {
     val nodes = Seq(4, 8)
     val spec = SeriesGen.presets.seismic(s.n)
     val queries = SeriesGen.queries(spec, s.nQueries)
-    val pred = predictor(spark, spec)
-    def run(cfg: ClusterConfig): String =
-      f(OdysseyCluster.run(spark, spec, queries, cfg.copy(params = sp), Some(pred)).querySecs)
-    val rows = Seq[(String, Int => ClusterConfig)](
-      ("DMESSI", nn => Competitors.dmessi(nn, spec, ic)),
-      ("DMESSI-SW-BSF", nn => Competitors.dmessiSwBsf(nn, spec, ic)),
-      ("DPISAX", nn => Competitors.dpisax(nn, spec, ic)),
-      ("ODYSSEY EQUALLY-SPLIT", nn => ClusterConfig(nn, nn,
-        k => Partitioning.EquallySplit(spec.n.toLong, k), indexConfig = ic)),
-      ("ODYSSEY EQUALLY-SPLIT-RS", nn => ClusterConfig(nn, nn, rs, indexConfig = ic)),
-      ("ODYSSEY DENSITY-AWARE", nn => ClusterConfig(nn, nn,
-        k => Partitioning.densityAware(spec, k, ic.w, lambda = 16), indexConfig = ic)),
-      ("ODYSSEY FULL (WS-PREDICT)", nn => ClusterConfig(nn, 1, rs, indexConfig = ic)),
-    ).map { case (name, mk) => name +: nodes.map(nn => run(mk(nn))) }
+    val names = Seq("DMESSI", "DMESSI-SW-BSF", "DPISAX", "ODYSSEY EQUALLY-SPLIT",
+                    "ODYSSEY EQUALLY-SPLIT-RS", "ODYSSEY DENSITY-AWARE", "ODYSSEY FULL (WS-PREDICT)")
+    val cols = OdysseyCluster.withIndexes(spark, spec, full()) { fullIndexes =>
+      val pred = Some(predictor(fullIndexes))
+      def secs(indexes: ChunkIndexes, cfg: ClusterConfig): String =
+        f(OdysseyCluster.run(indexes, queries, cfg.copy(params = sp), pred).querySecs)
+      // configs that chunk alike share one build: DMESSI, DMESSI-SW-BSF and ODYSSEY
+      // EQUALLY-SPLIT split by EquallySplit(n, nn); FULL shares the predictor's
+      def shared(cfgs: ClusterConfig*): Seq[String] =
+        OdysseyCluster.withIndexes(spark, spec, cfgs.head)(indexes => cfgs.map(secs(indexes, _)))
+      nodes.map { nn =>
+        val Seq(dmessi, swBsf, split) = shared(
+          Competitors.dmessi(nn, spec, ic), Competitors.dmessiSwBsf(nn, spec, ic),
+          ClusterConfig(nn, nn, k => Partitioning.EquallySplit(spec.n.toLong, k), indexConfig = ic))
+        Seq(dmessi, swBsf) ++ shared(Competitors.dpisax(nn, spec, ic)) ++ Seq(split) ++
+          shared(ClusterConfig(nn, nn, rs, indexConfig = ic)) ++
+          shared(ClusterConfig(nn, nn, k => Partitioning.densityAware(spec, k, ic.w, lambda = 16),
+                               indexConfig = ic)) :+
+          secs(fullIndexes, full(nn))
+      }
+    }
+    val rows = names.indices.map(i => names(i) +: cols.map(_(i)))
     Table("Fig. 17d: query secs vs competitors (Seismic)",
           "system" +: nodes.map(n => s"$n nodes"), rows)
   }
@@ -323,19 +338,18 @@ object Experiments {
                           queries: Array[Array[Double]], params: SearchParams,
                           title: String): Table = {
     val nodeCounts = Seq(2, 4, 8)
-    val rows = Seq(("FULL", 1), ("PARTIAL-2", 2), ("EQUALLY-SPLIT", 0)).map { case (name, kk) =>
-      val times = nodeCounts.map { nn =>
-        val k = if (kk == 0) nn else kk
-        if (k > nn) "-"
-        else {
-          val cfg = ClusterConfig(nn, k, rs, scheduler = Dynamic, steal = true,
-                                  params = params.copy(threshold = sp.threshold),
-                                  indexConfig = ic)
-          f(OdysseyCluster.run(spark, spec, queries, cfg).querySecs)
-        }
-      }
-      name +: times
+    val strategies = Seq[(String, Int => Int)](
+      ("FULL", _ => 1), ("PARTIAL-2", _ => 2), ("EQUALLY-SPLIT", nn => nn)) // name, chunks at nn nodes
+    def cfg(nn: Int, k: Int) = ClusterConfig(nn, k, rs, scheduler = Dynamic, steal = true,
+                                             params = params.copy(threshold = sp.threshold),
+                                             indexConfig = ic)
+    // every (node count, chunk count) cell; cells with equal chunk counts share one build
+    val cells = (for ((_, chunks) <- strategies; nn <- nodeCounts) yield (nn, chunks(nn))).distinct
+    val secs = cells.groupBy(_._2).flatMap { case (k, group) =>
+      OdysseyCluster.withIndexes(spark, spec, cfg(k, k))(indexes =>
+        group.map(cell => cell -> f(OdysseyCluster.run(indexes, queries, cfg(cell._1, k), None).querySecs)))
     }
+    val rows = strategies.map { case (name, chunks) => name +: nodeCounts.map(nn => secs((nn, chunks(nn)))) }
     Table(title, "strategy" +: nodeCounts.map(n => s"$n nodes"), rows)
   }
 }

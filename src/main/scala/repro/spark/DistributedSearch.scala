@@ -52,22 +52,27 @@ final case class ChunkReport(build: BuildStatRow, queries: Seq[QueryStatRow])
   */
 object DistributedSearch {
 
-  /** Build every chunk's index and answer `queries` on it. */
+  /** Build every chunk `chunkOf` uses and answer `queries` on its index. */
   def run(spark: SparkSession, spec: DatasetSpec, chunkOf: Long => Int,
           queries: Array[Array[Double]], params: SearchParams,
           indexConfig: IndexConfig = IndexConfig()): Seq[ChunkReport] =
-    withIndexes(spark, spec, chunkOf, indexConfig, queries)(answer(_, queries, params, Map.empty, None))
+    withIndexes(spark, spec, chunkOf, (0L until spec.n).iterator.map(chunkOf).max + 1, indexConfig)(
+      answer(_, queries, params, Map.empty, None))
 
-  /** Check `queries` against `spec` on the driver, build the chunk indexes,
-    * hand them to `use`, and release them afterwards, also when `use` throws.
-    * A bad query or chunk assignment fails before any Spark job.
+  /** The cached chunk indexes of one build; only [[withIndexes]] makes one. */
+  final class ChunkIndexes private[DistributedSearch] (private[DistributedSearch] val rdd: RDD[(Int, IsaxIndex)],
+      val spec: DatasetSpec, val nChunks: Int, val indexConfig: IndexConfig)
+
+  /** The one build path: check the chunk assignment on the driver, hand the
+    * chunk indexes to `use`, built by the first job over them and reused by
+    * every later one, and release them afterwards, also when `use` throws.
     */
-  def withIndexes[T](spark: SparkSession, spec: DatasetSpec, chunkOf: Long => Int,
-                     indexConfig: IndexConfig, queries: Array[Array[Double]])
-                    (use: RDD[(Int, IsaxIndex)] => T): T = {
-    checkQueries(spec, queries)
-    val indexes = buildIndexes(spark, spec, chunkOf, indexConfig)
-    try use(indexes) finally indexes.unpersist(blocking = true)
+  def withIndexes[T](spark: SparkSession, spec: DatasetSpec, chunkOf: Long => Int, nChunks: Int,
+                     indexConfig: IndexConfig)(use: ChunkIndexes => T): T = {
+    checkChunks(spec.n, chunkOf, nChunks)
+    val indexes = new ChunkIndexes(buildIndexes(spark, spec, chunkOf, nChunks, indexConfig),
+                                   spec, nChunks, indexConfig)
+    try use(indexes) finally indexes.rdd.unpersist(blocking = true)
   }
 
   /** Every query must have `spec.length` values, all of them finite. */
@@ -86,8 +91,7 @@ object DistributedSearch {
     * series emits no index.
     */
   private def buildIndexes(spark: SparkSession, spec: DatasetSpec, chunkOf: Long => Int,
-                           indexConfig: IndexConfig): RDD[(Int, IsaxIndex)] = {
-    val nChunks = chunkCount(spec.n, chunkOf)
+                           nChunks: Int, indexConfig: IndexConfig): RDD[(Int, IsaxIndex)] =
     spark.sparkContext.parallelize(0 until nChunks, nChunks)
       .flatMap { chunk =>
         val ids = Array.range(0, spec.n).filter(chunkOf(_) == chunk).map(_.toLong)
@@ -96,25 +100,22 @@ object DistributedSearch {
           chunk -> IsaxIndex.build(ids, i => SeriesGen.series(spec, ids(i)), indexConfig, new Cost))
       }
       .persist(StorageLevel.MEMORY_ONLY)
-  }
 
-  /** One more than the largest chunk `chunkOf` assigns to ids `0 until n`,
-    * read on the driver so that a bad assignment fails before any Spark job.
-    */
-  private def chunkCount(n: Int, chunkOf: Long => Int): Int =
-    (0L until n).foldLeft(0) { (count, id) =>
+  /** Every id `0 until n` must map to a chunk `0 until nChunks`; read on the driver. */
+  private def checkChunks(n: Int, chunkOf: Long => Int, nChunks: Int): Unit =
+    (0L until n).foreach { id =>
       val chunk = chunkOf(id)
-      require(chunk >= 0, s"negative chunk $chunk for series id $id")
-      math.max(count, chunk + 1)
+      require(chunk >= 0 && chunk < nChunks, s"chunk $chunk of $nChunks for series id $id")
     }
 
   /** Each query's best initial BSF over all chunks: the approximate search
     * alone per (chunk, query), then the minimum per qid on the driver.
     */
-  def approxBounds(indexes: RDD[(Int, IsaxIndex)], queries: Array[Array[Double]],
+  def approxBounds(indexes: ChunkIndexes, queries: Array[Array[Double]],
                    params: SearchParams): Map[Int, Double] = {
+    checkQueries(indexes.spec, queries)
     val qs = queries // local val: avoid closing over anything non-serializable
-    val perChunk = indexes.map { case (_, index) =>
+    val perChunk = indexes.rdd.map { case (_, index) =>
       qs.map { q =>
         val ctx = new QueryCtx(q, params.mode, index.config.w, index.segSizes)
         Search.approx(index, ctx, new Cost, params.k).bound
@@ -126,13 +127,14 @@ object DistributedSearch {
   /** Answer `queries` exactly on every cached chunk index. A query starts
     * from its `startBounds` entry, if any (none = LOCAL, no sharing); with
     * `thresholds` = (sigmoid fit, division factor) its TH follows from its
-    * local initial BSF.
+    * local initial BSF. Like `approxBounds`, it checks the queries first.
     */
-  def answer(indexes: RDD[(Int, IsaxIndex)], queries: Array[Array[Double]], params: SearchParams,
+  def answer(indexes: ChunkIndexes, queries: Array[Array[Double]], params: SearchParams,
              startBounds: Map[Int, Double],
              thresholds: Option[(SigmoidFit, Double)]): Seq[ChunkReport] = {
+    checkQueries(indexes.spec, queries)
     val qs = queries
-    val reports = indexes.map { case (chunk, index) =>
+    val reports = indexes.rdd.map { case (chunk, index) =>
       val thFn: Double => Int = thresholds match {
         case Some((fit, factor)) => bsf => repro.index.ThresholdModel.thresholdFor(fit, bsf, factor)
         case None                => null

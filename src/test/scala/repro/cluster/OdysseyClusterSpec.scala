@@ -3,6 +3,7 @@ package repro.cluster
 import scala.collection.mutable
 import org.apache.spark.{ListenerBusAccess, SparkException, TaskContext}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerStageCompleted, SparkListenerTaskEnd}
+import org.apache.spark.util.LongAccumulator
 import repro.SparkSpec
 import repro.baselines.{Competitors, Dpisax}
 import repro.core.SeriesGen
@@ -71,7 +72,7 @@ class OdysseyClusterSpec extends SparkSpec {
       val local = DistributedSearch.run(spark, spec, chunkOf, queries, cfg.params, cfg.indexConfig)
       val bounds = local.flatMap(_.queries).groupBy(_.qid)
         .view.mapValues(_.map(_.approxBsf).min).toMap
-      val shared = DistributedSearch.withIndexes(spark, spec, chunkOf, cfg.indexConfig, queries)(
+      val shared = DistributedSearch.withIndexes(spark, spec, chunkOf, 4, cfg.indexConfig)(
         DistributedSearch.answer(_, queries, cfg.params, bounds, None))
       assert(shared != local)
       assert(OdysseyCluster.run(spark, spec, queries, cfg).reports == shared)
@@ -126,7 +127,7 @@ class OdysseyClusterSpec extends SparkSpec {
     val cfg = ClusterConfig(4, 2, eqSplit)
     for ((bad, qid) <- Seq(short -> 3, nan -> 2);
          body <- Seq[() => Any](() => OdysseyCluster.run(spark, spec, bad, cfg),
-                                () => OdysseyCluster.measure(spark, spec, bad, cfg),
+                                () => OdysseyCluster.withIndexes(spark, spec, cfg)(OdysseyCluster.measure(_, bad, cfg)),
                                 () => DistributedSearch.run(spark, spec, eqSplit(2).chunkOf, bad, SearchParams()))) {
       val (ran, e) = seen(intercept[IllegalArgumentException](body()))
       assert(e.getMessage.contains(s"query $qid "), e.getMessage)
@@ -141,18 +142,62 @@ class OdysseyClusterSpec extends SparkSpec {
     val chunkOf = eqSplit(2).chunkOf _
     OdysseyCluster.run(spark, spec, queries.take(2), cfg)
     assert(cached.isEmpty)
-    OdysseyCluster.measure(spark, spec, queries.take(2), cfg)
+    OdysseyCluster.withIndexes(spark, spec, cfg)(OdysseyCluster.measure(_, queries.take(2), cfg))
     assert(cached.isEmpty)
     DistributedSearch.run(spark, spec, chunkOf, queries.take(2), SearchParams())
     assert(cached.isEmpty)
     val failing = cfg.copy(partitioner = new OdysseyClusterSpec.FailsInTask(_))
     intercept[SparkException](OdysseyCluster.run(spark, spec, queries.take(2), failing))
     assert(cached.isEmpty)
-    intercept[SparkException](OdysseyCluster.measure(spark, spec, queries.take(2), failing))
+    intercept[SparkException](
+      OdysseyCluster.withIndexes(spark, spec, failing)(OdysseyCluster.measure(_, queries.take(2), failing)))
+    assert(cached.isEmpty)
+    intercept[IllegalStateException](OdysseyCluster.withIndexes(spark, spec, cfg) { indexes =>
+      OdysseyCluster.measure(indexes, queries.take(2), cfg) // builds and caches the indexes
+      throw new IllegalStateException("after a job")
+    })
     assert(cached.isEmpty)
     val failingChunkOf = failing.partitioner(2).chunkOf _
     intercept[SparkException](DistributedSearch.run(spark, spec, failingChunkOf, queries.take(2), SearchParams()))
     assert(cached.isEmpty)
+  }
+
+  test("one handle builds each chunk once, however many jobs run over it") {
+    val calls = spark.sparkContext.longAccumulator("chunkOf calls in tasks")
+    val split = ClusterConfig(4, 4, new OdysseyClusterSpec.CountsInTask(_, calls))
+    OdysseyCluster.withIndexes(spark, spec, split) { indexes =>
+      for (qs <- Seq(queries.take(3), queries.drop(3)); share <- Seq(true, false))
+        OdysseyCluster.measure(indexes, qs, split.copy(bsfShare = share))
+    }
+    assert(calls.value == n * 4L) // one build task per chunk, each reading every id once
+    calls.reset()
+    val full = ClusterConfig(1, 1, new OdysseyClusterSpec.CountsInTask(_, calls))
+    OdysseyCluster.withIndexes(spark, spec, full) { indexes =>
+      OdysseyCluster.trainingRows(indexes, 6, SearchParams())
+      OdysseyCluster.trainingRows(indexes, 4, SearchParams(threshold = 16))
+      OdysseyCluster.measure(indexes, queries, full.copy(nNodes = 4))
+    }
+    assert(calls.value == n.toLong)
+  }
+
+  test("a handle refuses a config of another chunk count or index config before any stage") {
+    val cfg = ClusterConfig(4, 2, eqSplit)
+    for (other <- Seq(cfg.copy(k = 4), cfg.copy(k = 1), cfg.copy(indexConfig = IndexConfig(leafCapacity = 32)))) {
+      val (ran, e) = seen(intercept[IllegalArgumentException](
+        OdysseyCluster.withIndexes(spark, spec, cfg)(OdysseyCluster.measure(_, queries, other))))
+      assert(e.getMessage.contains("indexes: 2 chunks"), e.getMessage)
+      assert(ran.stageTasks.isEmpty, "a Spark job ran")
+      assert(spark.sparkContext.getPersistentRDDs.isEmpty)
+    }
+    val (ran, e) = seen(intercept[IllegalArgumentException](
+      OdysseyCluster.withIndexes(spark, spec, cfg)(OdysseyCluster.trainingRows(_, 4, SearchParams()))))
+    assert(e.getMessage.contains("FULL"), e.getMessage)
+    assert(ran.stageTasks.isEmpty, "a Spark job ran")
+    // the node count is not the handle's: 8 nodes over the same 2 chunks measure alike
+    OdysseyCluster.withIndexes(spark, spec, cfg) { indexes =>
+      assert(OdysseyCluster.measure(indexes, queries, cfg.copy(nNodes = 8)) ==
+               OdysseyCluster.measure(indexes, queries, cfg))
+    }
   }
 
   /** Fig. 10 at test scale: its seven (scheduler, steal) rows and its FULL
@@ -167,7 +212,8 @@ class OdysseyClusterSpec extends SparkSpec {
   private lazy val fig10Spec = presets.seismic(4096)
   private lazy val fig10Queries = SeriesGen.queries(fig10Spec, 20)
   private lazy val fig10Predictor = OdysseyCluster.trainPredictor(spark, fig10Spec, nTrain = 10)
-  private lazy val fig10Reports = OdysseyCluster.measure(spark, fig10Spec, fig10Queries, fig10Base)
+  private lazy val fig10Reports =
+    OdysseyCluster.withIndexes(spark, fig10Spec, fig10Base)(OdysseyCluster.measure(_, fig10Queries, fig10Base))
 
   test("run equals simulate over one shared measurement on the Fig. 10 grid") {
     val reports = fig10Reports
@@ -196,7 +242,7 @@ class OdysseyClusterSpec extends SparkSpec {
 
   test("all schedulers give identical answers, different times") {
     val base = ClusterConfig(8, 1, eqSplit, steal = false)
-    val reports = OdysseyCluster.measure(spark, spec, queries, base)
+    val reports = OdysseyCluster.withIndexes(spark, spec, base)(OdysseyCluster.measure(_, queries, base))
     val times = Seq(Static, Dynamic, PredictStUnsorted, PredictSt, PredictDn).map { s =>
       val res = OdysseyCluster.simulate(reports, base.copy(scheduler = s), Some(predictor))
       queries.indices.foreach(q => assert(math.abs(res.answers(q).head._1 - brute(q)) < 1e-9))
@@ -255,7 +301,8 @@ class OdysseyClusterSpec extends SparkSpec {
   }
 
   test("trainThreshold produces a usable sigmoid") {
-    val fit = OdysseyCluster.trainThreshold(spark, spec, nTrain = 12)
+    val fit = OdysseyCluster.withIndexes(spark, spec, ClusterConfig(1, 1, eqSplit))(
+      OdysseyCluster.trainThreshold(_, nTrain = 12))
     // evaluable and positive over the plausible BSF range
     Seq(1.0, 5.0, 10.0, 20.0).foreach(z => assert(!fit(z).isNaN))
   }
@@ -294,6 +341,19 @@ object OdysseyClusterSpec {
     def nChunks: Int = k
     def chunkOf(id: Long): Int = {
       if (id == 7 && TaskContext.get() != null) throw new IllegalStateException("in task")
+      base.chunkOf(id)
+    }
+  }
+
+  /** RandomShuffle that counts, in `calls`, each assignment read inside a
+    * Spark task, so a test can count the build tasks' reads of it.
+    */
+  final class CountsInTask(k: Int, calls: LongAccumulator) extends Partitioner {
+    private val base = Partitioning.RandomShuffle(k)
+    def name = "COUNTS-IN-TASK"
+    def nChunks: Int = k
+    def chunkOf(id: Long): Int = {
+      if (TaskContext.get() != null) calls.add(1)
       base.chunkOf(id)
     }
   }
