@@ -18,3 +18,10 @@ trait BenchTables extends SparkSpec {
     r(i).replaceAll("[^0-9.eE+-]", "").toDouble
   }
 }
+
+object BenchTables {
+  /** Fig. 18's 1-NN ED sweep (Random), the baseline of both Fig. 18 (10-NN)
+    * and Fig. 19 (DTW): computed once per run, by whichever suite asks first.
+    */
+  lazy val knn1: Table = Experiments.fig18Knn(SparkSpec.shared, k = 1)
+}

@@ -8,7 +8,7 @@ import repro.experiments.Experiments
 class Fig19DtwBench extends BenchTables {
   test("Fig. 19: DTW costs more than ED; scaling trends persist") {
     val t = show(Experiments.fig19Dtw(spark))
-    val ed = Experiments.fig18Knn(spark, k = 1) // 1-NN ED sweep, same workload
+    val ed = BenchTables.knn1 // 1-NN ED sweep, same workload
     assert(cell(t, "FULL", "8 nodes") > cell(ed, "FULL", "8 nodes"),
            "DTW must be more expensive than ED")
     assert(cell(t, "FULL", "8 nodes") < cell(t, "FULL", "2 nodes"),

@@ -39,9 +39,10 @@ object Dpisax {
     def depth: Int = bits.sum
   }
 
-  def partition(spec: DatasetSpec, nChunks: Int, w: Int,
-                sampleFrac: Double = 0.05, seed: Long = 41): Partitioning.Table = {
+  def partition(spec: DatasetSpec, nChunks: Int, w: Int): Partitioning.Table = {
     require(nChunks >= 1)
+    val sampleFrac = 0.05 // share of the collection sampled
+    val seed = 41L        // sample stream seed
     val rng = new Rng.Stream(Rng.key(seed, spec.n.toLong))
     val sampleN = math.max(nChunks * 8, (spec.n * sampleFrac).toInt)
     val sample = Array.fill(sampleN)(rng.nextInt(spec.n).toLong)

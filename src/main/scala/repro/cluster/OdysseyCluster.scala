@@ -8,7 +8,8 @@ import repro.index.ThresholdModel.SigmoidFit
 import repro.spark.{BuildStatRow, ChunkReport, DistributedSearch, QueryStatRow}
 import repro.spark.DistributedSearch.ChunkIndexes
 
-/** Full Odyssey pipeline configuration (Fig. 3).
+/** Full Odyssey pipeline configuration (Fig. 3). Its layout is checked when
+  * it is built: `k` must divide `nNodes`.
   *
   * @param nNodes      system nodes
   * @param k           PARTIAL-k replication (1 = FULL, nNodes = EQUALLY-SPLIT)
@@ -17,6 +18,7 @@ import repro.spark.DistributedSearch.ChunkIndexes
   * @param steal       enable inter-node work stealing inside groups
   * @param bsfShare    share initial BSFs across replication groups (the
   *                    BSF-sharing channel + book-keeping array of §3.4)
+  * @param params      search knobs, TH (fixed or per-query sigmoid) included
   */
 final case class ClusterConfig(
     nNodes: Int,
@@ -26,10 +28,15 @@ final case class ClusterConfig(
     steal: Boolean = true,
     bsfShare: Boolean = true,
     params: SearchParams = SearchParams(),
-    indexConfig: IndexConfig = IndexConfig(),
-    thresholds: Option[(SigmoidFit, Double)] = None,
-    threads: Int = CostModel.ThreadsPerNode,
-    nSend: Int = 4)
+    indexConfig: IndexConfig = IndexConfig()) {
+  val layout: Layout = Layout(nNodes, k)
+
+  /** Worker threads per node: fixed by the cost model. */
+  def threads: Int = CostModel.ThreadsPerNode
+
+  /** RS-batches a victim gives away per steal: fixed, as in the paper. */
+  def nSend: Int = StealSim.NSend
+}
 
 /** Everything an experiment needs: exact answers, the three simulated
   * times of the paper's evaluation (buffer, tree, query answering), and
@@ -62,7 +69,7 @@ object OdysseyCluster {
 
   /** Lend `use` the chunk indexes of `spec` under `cfg`'s chunking and index config. */
   def withIndexes[T](spark: SparkSession, spec: DatasetSpec, cfg: ClusterConfig)(use: ChunkIndexes => T): T = {
-    val part = cfg.partitioner(Layout(cfg.nNodes, cfg.k).nChunks)
+    val part = cfg.partitioner(cfg.layout.nChunks)
     DistributedSearch.withIndexes(spark, spec, part.chunkOf _, part.nChunks, cfg.indexConfig)(use)
   }
 
@@ -71,29 +78,29 @@ object OdysseyCluster {
     * and more than one group to share across, an approximate-only job first
     * yields each query's best initial BSF, which the exact search on every
     * chunk then starts from. No scheduling or stealing happens here: the
-    * reports depend on `cfg.k`, `partitioner`, `bsfShare`, `params`, `indexConfig`
-    * and `thresholds` only, so configs agreeing on those share one measurement.
+    * reports depend on `cfg.k`, `partitioner`, `bsfShare`, `params` and
+    * `indexConfig` only, so configs agreeing on those share one measurement.
     */
   def measure(indexes: ChunkIndexes, queries: Array[Array[Double]],
               cfg: ClusterConfig): Seq[ChunkReport] = {
-    val nChunks = Layout(cfg.nNodes, cfg.k).nChunks
+    val nChunks = cfg.layout.nChunks
     require(nChunks == indexes.nChunks && cfg.indexConfig == indexes.indexConfig,
       s"config: $nChunks chunks, ${cfg.indexConfig}; indexes: ${indexes.nChunks} chunks, ${indexes.indexConfig}")
     val bounds =
       if (cfg.bsfShare && nChunks > 1) DistributedSearch.approxBounds(indexes, queries, cfg.params)
       else Map.empty[Int, Double]
-    DistributedSearch.answer(indexes, queries, cfg.params, bounds, cfg.thresholds)
+    DistributedSearch.answer(indexes, queries, cfg.params, bounds)
   }
 
   /** Stages 3 and 5 and the timing, on the driver, from measured reports: a
-    * pure function that runs no Spark job. It reads `cfg.nNodes`, `k`,
-    * `scheduler`, `steal`, `nSend`, `threads` and `params.k`; `reports` must
+    * pure function that runs no Spark job. It reads `cfg.layout`, `scheduler`,
+    * `steal` and `params.k`; `reports` must
     * come from [[measure]] under a config that agrees with `cfg` on what
     * `measure` reads.
     */
   def simulate(reports: Seq[ChunkReport], cfg: ClusterConfig,
                predictor: Option[Prediction.LinearModel] = None): RunResult = {
-    val layout = Layout(cfg.nNodes, cfg.k)
+    val layout = cfg.layout
 
     // Stage 5: exact global answers by merging per-chunk top-k lists.
     val answers = DistributedSearch.mergeAnswers(reports, cfg.params.k)
@@ -143,7 +150,7 @@ object OdysseyCluster {
   def trainingRows(indexes: ChunkIndexes, nTrain: Int, params: SearchParams): Seq[QueryStatRow] = {
     require(indexes.nChunks == 1, s"training needs a FULL index, not ${indexes.nChunks} chunks")
     val queries = SeriesGen.trainingQueries(indexes.spec, nTrain)
-    DistributedSearch.answer(indexes, queries, params, Map.empty, None).head.queries
+    DistributedSearch.answer(indexes, queries, params, Map.empty).head.queries
   }
 
   /** The paper's linear cost predictor (Fig. 4): total ops on initial BSF. */
@@ -158,11 +165,11 @@ object OdysseyCluster {
       indexes => fitPredictor(trainingRows(indexes, nTrain, params)))
 
   /** Fit the TH sigmoid (Fig. 6a) on training queries: x = initial BSF,
-    * y = median uncapped PQ size.
+    * y = median uncapped PQ size (any fit in `params` is cleared).
     */
   def trainThreshold(indexes: ChunkIndexes, nTrain: Int,
                      params: SearchParams = SearchParams()): SigmoidFit =
     ThresholdModel.fit(
-      trainingRows(indexes, nTrain, params.copy(threshold = Int.MaxValue))
+      trainingRows(indexes, nTrain, params.copy(threshold = Int.MaxValue, thresholdFit = None))
         .map(qs => (qs.approxBsf, ThresholdModel.medianPqSize(qs.tasks))))
 }

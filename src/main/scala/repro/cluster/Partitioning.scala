@@ -25,10 +25,10 @@ object Partitioning {
   /** EQUALLY-SPLIT + random shuffling (RS, §3.4): a pseudo-random but
     * deterministic balanced assignment.
     */
-  final case class RandomShuffle(override val nChunks: Int, seed: Long = 99) extends Partitioner {
+  final case class RandomShuffle(override val nChunks: Int) extends Partitioner {
     def name = "EQUALLY-SPLIT-RS"
     def chunkOf(id: Long): Int = {
-      val h = Rng.mix(Rng.key(seed, id))
+      val h = Rng.mix(Rng.key(99L, id)) // 99: the shuffle's fixed seed
       (((h % nChunks) + nChunks) % nChunks).toInt
     }
   }
@@ -53,8 +53,8 @@ object Partitioning {
     * 5. while unbalanced, split the largest still-intact buffer of the
     *    most loaded chunk round-robin.
     */
-  def densityAware(spec: DatasetSpec, nChunks: Int, w: Int, lambda: Int = 400,
-                   toleranceFrac: Double = 0.05): Table = {
+  def densityAware(spec: DatasetSpec, nChunks: Int, w: Int, lambda: Int): Table = {
+    val toleranceFrac = 0.05 // allowed chunk load spread, as a share of n / nChunks
     val keys = Blocks.tabulate(spec.n) { id =>
       ISax.rootKey(ISax.word(Paa.of(repro.core.SeriesGen.series(spec, id.toLong), w)))
     }

@@ -31,6 +31,9 @@ object StealSim {
     */
   val HandshakeOps: Long = 2_000L
 
+  /** N_send: RS-batches a victim gives away per steal (§3.2.2). */
+  val NSend: Int = 4
+
   final case class GroupResult(makespan: Double, perNodeFinish: Array[Double],
                                nSteals: Int, stolenOps: Long, processedOps: Long)
 
@@ -76,7 +79,6 @@ object StealSim {
     val queue: mutable.Queue[Int] = mutable.Queue.empty // static assignment
     var version: Int = 0
     var current: Running = _
-    var stealBusyUntil: Double = -1.0
     var lastActive: Double = 0.0
     var done: Boolean = false
   }
@@ -89,7 +91,7 @@ object StealSim {
     */
   def simulate(nNodes: Int, works: Map[Int, QueryWork], qids: Seq[Int],
                kind: SchedulerKind, est: Int => Double,
-               steal: Boolean, nSend: Int = 4,
+               steal: Boolean, nSend: Int = NSend,
                threads: Int = CostModel.ThreadsPerNode,
                seed: Long = 1234): GroupResult = {
     require(nNodes >= 1)
@@ -145,13 +147,13 @@ object StealSim {
       val pending = r.pendingAt(t)
       // Take-Away property: from the rightmost (largest top-lb) queues, take
       // whole RS-batches until nSend batches are chosen. Task order in the
-      // slots vector is the sorted PQ-array order, so "rightmost" = last.
-      val ordered = pending.sortBy(_.start)
+      // slots vector is the sorted PQ-array order (and slots are in start
+      // order), so "rightmost" = last.
       val chosen = mutable.LinkedHashSet.empty[Int]
-      ordered.reverseIterator.foreach { s =>
+      pending.reverseIterator.foreach { s =>
         if (chosen.size < nSend) chosen += s.task.batchId
       }
-      val taken = ordered.filter(s => chosen(s.task.batchId)).map(_.task)
+      val taken = pending.filter(s => chosen(s.task.batchId)).map(_.task)
       // profitability guard: giving away less work than the handshake costs
       // would only slow the system down — the victim declines (|S| = 0)
       if (taken.isEmpty || taken.map(_.procOps).sum < 2 * HandshakeOps) return false
@@ -167,7 +169,6 @@ object StealSim {
       val slots = schedule(taken, Array.fill(threads)(t + serialPart), rate1)
       val busyUntil = if (slots.isEmpty) t + serialPart else slots.map(_.end).max
       me.version += 1
-      me.stealBusyUntil = busyUntil
       me.lastActive = busyUntil
       nSteals += 1
       val ops = HandshakeOps + rebuild + taken.map(_.procOps).sum
@@ -179,18 +180,17 @@ object StealSim {
 
     /** Earliest future instant at which another node's state can change.
       * Retries are scheduled against these real wake points — never against
-      * other nodes' retry events — so the loop always makes progress.
+      * other nodes' retry events — so the loop always makes progress. A
+      * node's `lastActive` lies ahead of `t` only while it runs a query or a
+      * steal.
       */
     def nextWakePoint(n: Int, t: Double): Option[Double] = {
       var best = Double.PositiveInfinity
       nodes.indices.foreach { m =>
         if (m != n) {
           val s = nodes(m)
-          if (s.current != null) {
-            if (s.current.pqStart > t) best = math.min(best, s.current.pqStart)
-            if (s.lastActive > t) best = math.min(best, s.lastActive)
-          }
-          if (s.stealBusyUntil > t) best = math.min(best, s.stealBusyUntil)
+          if (s.current != null && s.current.pqStart > t) best = math.min(best, s.current.pqStart)
+          if (s.lastActive > t) best = math.min(best, s.lastActive)
         }
       }
       if (best.isInfinity) None else Some(best)
@@ -201,7 +201,6 @@ object StealSim {
       val st = nodes(n)
       if (v == st.version && !st.done) {
         st.current = null
-        st.stealBusyUntil = -1.0
         nextQuery(n) match {
           case Some(q) => startQuery(n, t, q)
           case None =>

@@ -34,18 +34,6 @@ final case class Layout(nNodes: Int, k: Int) {
   /** The clusters: each holds one node per chunk. */
   def clusters: Seq[Seq[Int]] = (0 until degree).map(j => (0 until k).map(c => j * k + c))
 
-  def isFull: Boolean = k == 1
-  def isEquallySplit: Boolean = k == nNodes
-
   def name: String =
-    if (isFull) "FULL" else if (isEquallySplit) "EQUALLY-SPLIT" else s"PARTIAL-$k"
-}
-
-object Topology {
-
-  /** The replication settings Odyssey supports for `nNodes` (powers of two
-    * between 1 and nNodes that divide nNodes): 1 + log2(nNodes) of them.
-    */
-  def supportedKs(nNodes: Int): Seq[Int] =
-    Iterator.iterate(1)(_ * 2).takeWhile(_ <= nNodes).filter(nNodes % _ == 0).toSeq
+    if (k == 1) "FULL" else if (k == nNodes) "EQUALLY-SPLIT" else s"PARTIAL-$k"
 }

@@ -174,7 +174,8 @@ object SeriesGen {
     * random walks far from everything (expensive: poor pruning). This mix
     * yields the difficulty variance the scheduling experiments need.
     */
-  def query(spec: DatasetSpec, qid: Int, easyFrac: Double = 0.6, noise: Double = 0.15): Array[Double] = {
+  def query(spec: DatasetSpec, qid: Int, easyFrac: Double = 0.6): Array[Double] = {
+    val noise = 0.15 // Gaussian noise added to an easy query's source series
     val stream = new Rng.Stream(Rng.key(spec.seed ^ 0x51ca9e5L, qid.toLong))
     if (stream.nextDouble() < easyFrac) {
       val base = series(spec, stream.nextInt(spec.n).toLong)
@@ -186,12 +187,12 @@ object SeriesGen {
   }
 
   /** A batch of queries. */
-  def queries(spec: DatasetSpec, nQueries: Int, easyFrac: Double = 0.6): Array[Array[Double]] =
-    Array.tabulate(nQueries)(q => query(spec, q, easyFrac))
+  def queries(spec: DatasetSpec, nQueries: Int): Array[Array[Double]] =
+    Array.tabulate(nQueries)(q => query(spec, q))
 
   /** Training queries for the cost-prediction model — disjoint stream from
     * the evaluation batch (negative ids).
     */
-  def trainingQueries(spec: DatasetSpec, nQueries: Int, easyFrac: Double = 0.6): Array[Array[Double]] =
-    Array.tabulate(nQueries)(q => query(spec, -(q + 1), easyFrac))
+  def trainingQueries(spec: DatasetSpec, nQueries: Int): Array[Array[Double]] =
+    Array.tabulate(nQueries)(q => query(spec, -(q + 1)))
 }

@@ -97,7 +97,8 @@ object Experiments {
     val (fit, rows) = OdysseyCluster.withIndexes(spark, spec, full()) { indexes =>
       val fit = OdysseyCluster.trainThreshold(indexes, NTrain)
       (fit, factors.map { factor =>
-        val cfg = full().copy(scheduler = Static, steal = false, thresholds = Some((fit, factor)))
+        val cfg = full().copy(scheduler = Static, steal = false,
+                              params = SearchParams(thresholdFit = Some((fit, factor))))
         Seq(factor.toInt.toString, f(OdysseyCluster.run(indexes, queries, cfg, None).querySecs))
       })
     }

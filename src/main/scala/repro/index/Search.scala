@@ -17,9 +17,13 @@ final case class Dtw(radius: Int) extends Mode { require(radius >= 0) }
   *                  of an RS-batch reaches TH it is closed and a fresh one
   *                  is started (Int.MaxValue = uncapped)
   * @param k         number of nearest neighbours
+  * @param thresholdFit when set, (sigmoid fit, division factor): each query's
+  *                  TH follows from its local initial BSF by
+  *                  [[ThresholdModel.thresholdFor]] and `threshold` is unused
   */
 final case class SearchParams(nsb: Int = 16, threshold: Int = Int.MaxValue,
-                              mode: Mode = Euclidean, k: Int = 1) {
+                              mode: Mode = Euclidean, k: Int = 1,
+                              thresholdFit: Option[(ThresholdModel.SigmoidFit, Double)] = None) {
   require(nsb >= 1 && k >= 1 && threshold >= 1)
 }
 
@@ -280,17 +284,13 @@ object Search {
     * Every node and entry lower bound is a few reads of the query's
     * `lbTable`.
     *
-    * @param startBound  an externally shared BSF (k-th best); PositiveInfinity
-    *                    when the node has received nothing. The local answer
-    *                    list only ever contains local series, so merging
-    *                    per-chunk results stays exact under any sharing.
-    * @param thresholdOf when set, overrides `params.threshold` with a TH
-    *                    derived from the query's local initial BSF (the
-    *                    sigmoid model of [[ThresholdModel]])
+    * @param startBound an externally shared BSF (k-th best); PositiveInfinity
+    *                   when the node has received nothing. The local answer
+    *                   list only ever contains local series, so merging
+    *                   per-chunk results stays exact under any sharing.
     */
   def exact(index: IsaxIndex, query: Array[Double], params: SearchParams,
-            startBound: Double = Double.PositiveInfinity,
-            thresholdOf: Double => Int = null): QueryRun = {
+            startBound: Double = Double.PositiveInfinity): QueryRun = {
     val cost = new Cost
     val ctx = new QueryCtx(query, params.mode, index.config.w, index.segSizes)
 
@@ -298,8 +298,9 @@ object Search {
     val approxBsf = heap.bound
     val approxOps = cost.ops
     var bound = math.min(startBound, heap.bound)
-    val th = if (thresholdOf == null) params.threshold
-             else math.max(2, thresholdOf(approxBsf))
+    val th = params.thresholdFit.fold(params.threshold) {
+      case (fit, factor) => ThresholdModel.thresholdFor(fit, approxBsf, factor)
+    }
 
     val tab = ctx.lbTable
     val w = ctx.paa.length

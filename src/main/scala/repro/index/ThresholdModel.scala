@@ -52,7 +52,8 @@ object ThresholdModel {
 /** Minimal derivative-free Nelder–Mead simplex minimizer. */
 object NelderMead {
   def minimize(f: Array[Double] => Double, x0: Array[Double],
-               iters: Int = 1000, step: Double = 0.25): Array[Double] = {
+               iters: Int = 1000): Array[Double] = {
+    val step = 0.25 // initial simplex: a vertex moves one coordinate by this share of it (or by it, from 0)
     val n = x0.length
     var simplex = Array.tabulate(n + 1) { i =>
       val p = x0.clone()

@@ -6,7 +6,6 @@ import org.apache.spark.storage.StorageLevel
 import repro.core.{Cost, SeriesGen}
 import repro.core.SeriesGen.DatasetSpec
 import repro.index.{BuildStats, IndexConfig, IsaxIndex, PqStat, QueryCtx, QueryRun, Search, SearchParams}
-import repro.index.ThresholdModel.SigmoidFit
 
 /** Per-(chunk, query) measurement: the local answer plus the op breakdown
   * the cluster simulator needs. `tasks` are the run's processed priority
@@ -57,7 +56,7 @@ object DistributedSearch {
           queries: Array[Array[Double]], params: SearchParams,
           indexConfig: IndexConfig = IndexConfig()): Seq[ChunkReport] =
     withIndexes(spark, spec, chunkOf, (0L until spec.n).iterator.map(chunkOf).max + 1, indexConfig)(
-      answer(_, queries, params, Map.empty, None))
+      answer(_, queries, params, Map.empty))
 
   /** The cached chunk indexes of one build; only [[withIndexes]] makes one. */
   final class ChunkIndexes private[DistributedSearch] (private[DistributedSearch] val rdd: RDD[(Int, IsaxIndex)],
@@ -125,23 +124,17 @@ object DistributedSearch {
   }
 
   /** Answer `queries` exactly on every cached chunk index. A query starts
-    * from its `startBounds` entry, if any (none = LOCAL, no sharing); with
-    * `thresholds` = (sigmoid fit, division factor) its TH follows from its
-    * local initial BSF. Like `approxBounds`, it checks the queries first.
+    * from its `startBounds` entry, if any (none = LOCAL, no sharing).
+    * Like `approxBounds`, it checks the queries first.
     */
   def answer(indexes: ChunkIndexes, queries: Array[Array[Double]], params: SearchParams,
-             startBounds: Map[Int, Double],
-             thresholds: Option[(SigmoidFit, Double)]): Seq[ChunkReport] = {
+             startBounds: Map[Int, Double]): Seq[ChunkReport] = {
     checkQueries(indexes.spec, queries)
     val qs = queries
     val reports = indexes.rdd.map { case (chunk, index) =>
-      val thFn: Double => Int = thresholds match {
-        case Some((fit, factor)) => bsf => repro.index.ThresholdModel.thresholdFor(fit, bsf, factor)
-        case None                => null
-      }
       val queryRows = qs.indices.map { qid =>
         QueryStatRow.of(chunk, qid, Search.exact(index, qs(qid), params,
-          startBound = startBounds.getOrElse(qid, Double.PositiveInfinity), thresholdOf = thFn))
+          startBound = startBounds.getOrElse(qid, Double.PositiveInfinity)))
       }
       ChunkReport(BuildStatRow.of(chunk, index.buildStats), queryRows)
     }

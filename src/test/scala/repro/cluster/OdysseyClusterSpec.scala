@@ -73,7 +73,7 @@ class OdysseyClusterSpec extends SparkSpec {
       val bounds = local.flatMap(_.queries).groupBy(_.qid)
         .view.mapValues(_.map(_.approxBsf).min).toMap
       val shared = DistributedSearch.withIndexes(spark, spec, chunkOf, 4, cfg.indexConfig)(
-        DistributedSearch.answer(_, queries, cfg.params, bounds, None))
+        DistributedSearch.answer(_, queries, cfg.params, bounds))
       assert(shared != local)
       assert(OdysseyCluster.run(spark, spec, queries, cfg).reports == shared)
     }

@@ -119,15 +119,21 @@ class SearchSpec extends AnyFunSuite {
     assert(tight.pqStats.length >= loose.pqStats.length)
   }
 
-  test("thresholdOf hook derives TH from the initial BSF") {
+  test("thresholdFit derives TH from the initial BSF") {
     val data = dataset(600, "Seismic")
     val spec = presets.seismic(600)
     val idx = IsaxIndex.build(data.iterator, IndexConfig(w = 8, leafCapacity = 8))
-    var seen = Double.NaN
-    val run = Search.exact(idx, SeriesGen.query(spec, 0), SearchParams(),
-                           thresholdOf = { bsf => seen = bsf; 3 })
-    assert(seen == run.approxBsf)
-    run.pqStats.foreach(s => assert(s.leaves <= 3))
+    // a sigmoid rising through the queries' BSFs: TH varies from query to query
+    val fit = ThresholdModel.SigmoidFit(0, 96, 1, 1, 10)
+    val factor = 8.0
+    val ths = (0 until 6).map { q =>
+      val run = Search.exact(idx, SeriesGen.query(spec, q), SearchParams(thresholdFit = Some((fit, factor))))
+      val th = ThresholdModel.thresholdFor(fit, run.approxBsf, factor)
+      assert(run.pqStats.nonEmpty)
+      run.pqStats.foreach(s => assert(s.leaves <= th, s"query $q: ${s.leaves} leaves, TH $th"))
+      th
+    }
+    assert(ths.distinct.size > 1, s"every query got TH ${ths.head}")
   }
 
   // ---- shared-BSF semantics: per-chunk searches merge to the global answer ----

@@ -84,7 +84,7 @@ class DistributedSearchSpec extends SparkSpec {
     val bounds = local.flatMap(_.queries).groupBy(_.qid)
       .view.mapValues(_.map(_.approxBsf).min).toMap
     val shared = DistributedSearch.withIndexes(spark, spec, part.chunkOf, part.nChunks, IndexConfig())(
-      DistributedSearch.answer(_, queries, SearchParams(), bounds, None))
+      DistributedSearch.answer(_, queries, SearchParams(), bounds))
     val aL = DistributedSearch.mergeAnswers(local, 1)
     val aS = DistributedSearch.mergeAnswers(shared, 1)
     queries.indices.foreach(q => assert(math.abs(aL(q).head._1 - aS(q).head._1) < 1e-9))
@@ -134,7 +134,7 @@ class DistributedSearchSpec extends SparkSpec {
     // a flat sigmoid forcing TH = 48/16 = 3
     val fit = repro.index.ThresholdModel.SigmoidFit(48, 48, 1, 1, 0)
     val reports = DistributedSearch.withIndexes(spark, spec, _ => 0, 1, IndexConfig())(
-      DistributedSearch.answer(_, queries, SearchParams(), Map.empty, Some((fit, 16.0))))
+      DistributedSearch.answer(_, queries, SearchParams(thresholdFit = Some((fit, 16.0))), Map.empty))
     val tasks = reports.flatMap(_.queries).flatMap(_.tasks)
     assert(tasks.nonEmpty)
     tasks.foreach(t => assert(t.leaves <= 3))
