@@ -21,7 +21,9 @@ import repro.index.PqStat
   * most likely still unprocessed) and drops every pending queue of them, so
   * a stolen batch is never pending, nor stolen, again; the thief
   * re-traverses those batches on its own index replica (rebuild cost) and
-  * processes them on its own threads.
+  * processes them on its own threads. The victim declines (gives nothing)
+  * when the thief, after handshake, rebuild and processing, would end no
+  * earlier than the victim's query would without the steal.
   */
 object StealSim {
 
@@ -154,20 +156,20 @@ object StealSim {
         if (chosen.size < nSend) chosen += s.task.batchId
       }
       val taken = pending.filter(s => chosen(s.task.batchId)).map(_.task)
-      // profitability guard: giving away less work than the handshake costs
-      // would only slow the system down — the victim declines (|S| = 0)
-      if (taken.isEmpty || taken.map(_.procOps).sum < 2 * HandshakeOps) return false
+      // thief: handshake + rebuild of the stolen batches + processing,
+      // list-scheduled on its own threads (`pending` is non-empty, so is `taken`)
+      val rebuild = chosen.iterator.map(r.qw.batchOps(_)).sum
+      val serialPart = (HandshakeOps + rebuild) / rate1
+      val busyUntil = schedule(taken, Array.fill(threads)(t + serialPart), rate1).map(_.end).max
+      // profitability: a thief that would end no earlier than the victim's
+      // query as it stands could only delay the group — the victim declines
+      // (|S| = 0)
+      if (busyUntil >= r.finish) return false
       r.remove(t, chosen)
       st.version += 1
       st.lastActive = r.finish
       events.enqueue((st.lastActive, m, st.version))
-      // thief: handshake + rebuild of the stolen batches + processing,
-      // list-scheduled on its own threads
-      val rebuild = chosen.iterator.map(r.qw.batchOps(_)).sum
-      val serialPart = (HandshakeOps + rebuild) / rate1
       val me = nodes(n)
-      val slots = schedule(taken, Array.fill(threads)(t + serialPart), rate1)
-      val busyUntil = if (slots.isEmpty) t + serialPart else slots.map(_.end).max
       me.version += 1
       me.lastActive = busyUntil
       nSteals += 1

@@ -327,6 +327,11 @@ class OdysseyClusterSpec extends SparkSpec {
     val ws = OdysseyCluster.simulate(fig10Reports, cfg.copy(steal = true))
     assert(ns.nSteals == 0 && ws.nSteals > 0, s"steals: ${ws.nSteals}")
     assert(ws.querySecs <= ns.querySecs, s"steal=${ws.querySecs} nosteal=${ns.querySecs}")
+    // and WORK-STEAL-PREDICT against PREDICT-DN, on the same measurement
+    val predict = cfg.copy(scheduler = PredictDn)
+    val pns = OdysseyCluster.simulate(fig10Reports, predict.copy(steal = false), Some(fig10Predictor))
+    val pws = OdysseyCluster.simulate(fig10Reports, predict.copy(steal = true), Some(fig10Predictor))
+    assert(pws.querySecs <= pns.querySecs, s"steal=${pws.querySecs} nosteal=${pns.querySecs}")
   }
 }
 

@@ -65,6 +65,19 @@ class StealSimSpec extends AnyFunSuite {
            s"steal=${withSteal.makespan} nosteal=${noSteal.makespan}")
   }
 
+  test("a victim about to end its query declines a thief that would end later") {
+    // one query's 17th queue waits for a free thread (0.01 s to 0.02 s); the
+    // other node idles from 0.009 s, but handshake + rebuild + the queue's
+    // 0.01 s would end it after 0.02 s, so taking the queue cannot help
+    val opsEach = 1000000L // 500 handshakes' worth: the queue is no small one
+    val works = Map(0 -> work(0, CostModel.ThreadsPerNode + 1, opsEach), 1 -> work(1, 1, 900000L))
+    val noSteal = StealSim.simulate(2, works, Seq(0, 1), Dynamic, _ => 1.0, steal = false)
+    val withSteal = StealSim.simulate(2, works, Seq(0, 1), Dynamic, _ => 1.0, steal = true)
+    assert(withSteal.nSteals == 0)
+    assert(withSteal.makespan == noSteal.makespan)
+    assert(math.abs(noSteal.makespan - 0.02) < 1e-12)
+  }
+
   test("stealing never helps when work is already balanced (and never corrupts)") {
     val works = (0 until 16).map(q => q -> work(q, 4, 100000000L)).toMap
     val ns = StealSim.simulate(4, works, works.keys.toSeq.sorted, Dynamic, _ => 1.0, steal = false)
