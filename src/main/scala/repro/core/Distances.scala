@@ -115,23 +115,30 @@ object Distances {
     math.sqrt(prev(n - 1))
   }
 
-  /** Z-normalize in place semantics-free copy: zero mean, unit variance
-    * (identity series with ~zero variance map to all-zeros).
+  /** Z-normalized copy of `v`: zero mean, unit variance (series with
+    * ~zero variance map to all-zeros).
     */
   def zNormalize(v: Array[Double]): Array[Double] = {
-    val n = v.length
     var s = 0.0; var i = 0
-    while (i < n) { s += v(i); i += 1 }
-    val mean = s / n
-    var q = 0.0; i = 0
+    while (i < v.length) { s += v(i); i += 1 }
+    zNormalizeInPlace(v.clone(), s)
+  }
+
+  /** Z-normalize `v` in place and return it. `sum` must be `v`'s sum taken
+    * left to right from 0.0, so that a caller which builds `v` in one pass
+    * can fold the sum into that pass and get [[zNormalize]]'s exact values.
+    */
+  def zNormalizeInPlace(v: Array[Double], sum: Double): Array[Double] = {
+    val n = v.length
+    val mean = sum / n
+    var q = 0.0; var i = 0
     while (i < n) { val d = v(i) - mean; q += d * d; i += 1 }
     val sd = math.sqrt(q / n)
-    if (sd < 1e-12) new Array[Double](n)
+    if (sd < 1e-12) java.util.Arrays.fill(v, 0.0)
     else {
-      val out = new Array[Double](n)
       i = 0
-      while (i < n) { out(i) = (v(i) - mean) / sd; i += 1 }
-      out
+      while (i < n) { v(i) = (v(i) - mean) / sd; i += 1 }
     }
+    v
   }
 }

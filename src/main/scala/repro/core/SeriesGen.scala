@@ -114,18 +114,19 @@ object SeriesGen {
   // Cluster centers are shared across many series; memoize them per JVM.
   private val centerCache = new ConcurrentHashMap[(Long, Int, Int), Array[Double]]()
 
-  private def randomWalk(stream: Rng.Stream, length: Int): Array[Double] = {
+  /** A z-normalized random walk of `length` Gaussian steps. */
+  private def normalizedWalk(stream: Rng.Stream, length: Int): Array[Double] = {
     val v = new Array[Double](length)
-    var acc = 0.0
+    var acc = 0.0; var sum = 0.0
     var i = 0
-    while (i < length) { acc += stream.nextGaussian(); v(i) = acc; i += 1 }
-    v
+    while (i < length) { acc += stream.nextGaussian(); v(i) = acc; sum += acc; i += 1 }
+    Distances.zNormalizeInPlace(v, sum)
   }
 
   /** Center of cluster `j` (z-normalized random walk). */
   def center(spec: DatasetSpec, j: Int): Array[Double] =
     centerCache.computeIfAbsent((spec.seed, spec.length, j), { _ =>
-      Distances.zNormalize(randomWalk(new Rng.Stream(Rng.key(spec.seed, 7000L + j)), spec.length))
+      normalizedWalk(new Rng.Stream(Rng.key(spec.seed, 7000L + j)), spec.length)
     })
 
   /** Noise sigma of cluster `j`: log-spread over [sigmaMin, sigmaMax],
@@ -154,18 +155,16 @@ object SeriesGen {
     * raw cluster density.
     */
   def series(spec: DatasetSpec, id: Long): Array[Double] = {
-    val stream = new Rng.Stream(Rng.key(spec.seed, id))
-    val base = randomWalk(stream, spec.length)
+    val v = normalizedWalk(new Rng.Stream(Rng.key(spec.seed, id)), spec.length)
     val j = spec.clusterOf(id)
-    if (j < 0) Distances.zNormalize(base)
+    if (j < 0) v
     else {
       val c = center(spec, j)
       val sigma = clusterSigma(spec, j)
-      val noise = Distances.zNormalize(base)
-      val v = new Array[Double](spec.length)
+      var sum = 0.0
       var i = 0
-      while (i < spec.length) { v(i) = c(i) + sigma * noise(i); i += 1 }
-      Distances.zNormalize(v)
+      while (i < spec.length) { v(i) = c(i) + sigma * v(i); sum += v(i); i += 1 }
+      Distances.zNormalizeInPlace(v, sum)
     }
   }
 
@@ -178,12 +177,12 @@ object SeriesGen {
     val noise = 0.15 // Gaussian noise added to an easy query's source series
     val stream = new Rng.Stream(Rng.key(spec.seed ^ 0x51ca9e5L, qid.toLong))
     if (stream.nextDouble() < easyFrac) {
-      val base = series(spec, stream.nextInt(spec.n).toLong)
-      val v = new Array[Double](spec.length)
+      val v = series(spec, stream.nextInt(spec.n).toLong)
+      var sum = 0.0
       var i = 0
-      while (i < spec.length) { v(i) = base(i) + noise * stream.nextGaussian(); i += 1 }
-      Distances.zNormalize(v)
-    } else Distances.zNormalize(randomWalk(stream, spec.length))
+      while (i < spec.length) { v(i) += noise * stream.nextGaussian(); sum += v(i); i += 1 }
+      Distances.zNormalizeInPlace(v, sum)
+    } else normalizedWalk(stream, spec.length)
   }
 
   /** A batch of queries. */
