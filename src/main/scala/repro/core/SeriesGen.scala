@@ -7,8 +7,7 @@ import java.util.concurrent.ConcurrentHashMap
   *
   * The paper's `Random` dataset is exactly reproduced: random walks with
   * Gaussian(0,1) steps, drawn by [[Rng.Stream.nextGaussian]] (the JDK's
-  * ziggurat). Each series is built in one array and normalized in place.
-  * The real datasets (Seismic, Astro, Deep, Sift, Yan-TtI) are
+  * ziggurat). The real datasets (Seismic, Astro, Deep, Sift, Yan-TtI) are
   * proprietary/too large, so each is substituted with a clustered
   * random-walk mixture whose knobs (series length, clustered fraction,
   * cluster count, noise spread) mimic the property the paper's

@@ -20,12 +20,11 @@ class RngSpec extends AnyFunSuite {
 
   for (seed <- Seq(0L, 12345L, Rng.key(11, 42))) {
     test(s"nextLong, nextDouble and nextInt follow the SplitMix64 stream (seed $seed)") {
-      val (longs, doubles, ints) = (new Rng.Stream(seed), new Rng.Stream(seed), new Rng.Stream(seed))
-      val (ref1, ref2, ref3) = (new SplitMix64(seed), new SplitMix64(seed), new SplitMix64(seed))
+      val (st, ref) = (new Rng.Stream(seed), new SplitMix64(seed))
       (0 until 1000).foreach { i =>
-        assert(longs.nextLong() == ref1.nextLong(), s"draw $i")
-        assert(doubles.nextDouble() == (ref2.nextLong() >>> 11) * 1.1102230246251565e-16, s"draw $i")
-        assert(ints.nextInt(1000 + i) == ((ref3.nextLong() >>> 1) % (1000 + i)).toInt, s"draw $i")
+        assert(st.nextLong() == ref.nextLong(), s"draw $i")
+        assert(st.nextDouble() == (ref.nextLong() >>> 11) * 1.1102230246251565e-16, s"draw $i")
+        assert(st.nextInt(1000 + i) == ((ref.nextLong() >>> 1) % (1000 + i)).toInt, s"draw $i")
       }
     }
   }
