@@ -73,7 +73,12 @@ object ISax {
   }
 
   /** Full-cardinality word (one symbol per PAA segment) at MaxBits. */
-  def word(paa: Array[Double]): Array[Int] = paa.map(symbol(_, MaxBits))
+  def word(paa: Array[Double]): Array[Int] = {
+    val out = new Array[Int](paa.length)
+    var i = 0
+    while (i < paa.length) { out(i) = symbol(paa(i), MaxBits); i += 1 }
+    out
+  }
 
   /** First-bit word packed into an Int (bit i = segment i), used as the
     * summarization-buffer / root-subtree key. Segment 0 is the highest bit

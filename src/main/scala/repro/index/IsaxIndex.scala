@@ -6,30 +6,37 @@ import repro.core.{Blocks, Cost, ISax, Paa}
 /** Index build configuration.
   *
   * @param w            PAA / iSAX segments
-  * @param leafCapacity max entries per leaf before a cardinality-promotion split
+  * @param leafCapacity max series per leaf before a cardinality-promotion split
   */
 final case class IndexConfig(w: Int = 8, leafCapacity: Int = 64) {
   require(w >= 2 && w <= 16, s"w out of range: $w")
   require(leafCapacity >= 2, s"leafCapacity too small: $leafCapacity")
 }
 
-/** One indexed series: raw-data pointer plus its full-cardinality word.
-  * (No PAA is stored — entry-level lower bounds come from the word, so the
-  * index payload stays id + pointer + w symbol bytes, as in MESSI.)
-  */
-final class Entry(val id: Long, val values: Array[Double], val sax: Array[Int])
-
 /** iSAX tree node. A node is a leaf while `splitSeg < 0`; splitting
   * promotes one segment's cardinality by one bit and redistributes the
-  * entries into the two children (iSAX 2.0-style, round-robin over the
-  * segments with the fewest bits).
+  * leaf's series into the two children (iSAX 2.0-style, round-robin over
+  * the segments with the fewest bits).
+  *
+  * As in MESSI, a leaf holds no summaries and no raw data, only the chunk
+  * positions of its series: the first `size` slots of `positions`, in
+  * insertion order. Each position's id, series and full-cardinality word
+  * live in the [[IsaxIndex]]'s columns, and entry-level lower bounds come
+  * from that word (no PAA is stored). An inner node's `positions` is null.
   */
 final class TreeNode(val word: Array[Int], val bits: Array[Int]) {
-  var entries: mutable.ArrayBuffer[Entry] = mutable.ArrayBuffer.empty
+  private[index] var positions: Array[Int] = new Array[Int](16)
+  private[index] var size: Int = 0
   var splitSeg: Int = -1
   var child0: TreeNode = _
   var child1: TreeNode = _
   def isLeaf: Boolean = splitSeg < 0
+
+  private[index] def add(p: Int): Unit = {
+    if (size == positions.length) positions = java.util.Arrays.copyOf(positions, size * 2)
+    positions(size) = p
+    size += 1
+  }
 }
 
 /** Per-chunk index build statistics (feeds Fig. 14 / Fig. 17 benches). */
@@ -38,17 +45,24 @@ final case class BuildStats(nSeries: Long, bufferOps: Long, treeOps: Long,
 
 /** In-memory iSAX index over one data chunk (the per-node index of §3.2.1).
   *
-  * Construction mirrors the single-node parallel indexes of §2: compute
-  * every series' summary in parallel blocks (the "summarization buffer"
-  * pass), then insert the entries one by one, in chunk order, each into the
-  * root subtree of its first-bit word. `rootsSorted` exposes the subtrees in
-  * root-word order, sorted once; the searcher groups consecutive subtrees
-  * into RS-batches.
+  * The chunk is stored as columns indexed by position `p`: `ids(p)`, the
+  * series `series(p)` (the caller's array, not copied) and its
+  * full-cardinality word, `w` symbols at `words(p * w)`; a symbol has
+  * [[ISax.MaxBits]] = 8 bits, so it fits a byte, read unsigned by
+  * [[IsaxIndex.symbolAt]]. Construction mirrors the single-node parallel
+  * indexes of §2: fill the columns in parallel blocks (the "summarization
+  * buffer" pass), then insert the positions one by one, in chunk order,
+  * each into the root subtree of its first-bit word. `rootsSorted` exposes
+  * the subtrees in root-word order, sorted once; the searcher groups
+  * consecutive subtrees into RS-batches.
   */
-final class IsaxIndex private (val config: IndexConfig, val length: Int) {
+final class IsaxIndex private (val config: IndexConfig,
+                               private[index] val ids: Array[Long],
+                               private[index] val series: Array[Array[Double]],
+                               private[index] val words: Array[Byte]) {
+  val length: Int = series(0).length
   val segSizes: Array[Int] = Paa.segmentSizes(length, config.w)
   private val rootMap = mutable.HashMap.empty[Int, TreeNode]
-  private var _nSeries = 0L
   private var _treeOps = 0L
 
   /** Root subtrees ordered by packed first-bit word (stable RS-batch ids).
@@ -70,34 +84,48 @@ final class IsaxIndex private (val config: IndexConfig, val length: Int) {
   }
 
   /** Summarization-buffer histogram: packed root word -> series count. */
-  def bufferCounts: Map[Int, Int] = rootMap.view.mapValues(countEntries).toMap
+  def bufferCounts: Map[Int, Int] = rootMap.view.mapValues(countSeries).toMap
 
-  def nSeries: Long = _nSeries
+  def nSeries: Long = ids.length.toLong
 
-  private def countEntries(n: TreeNode): Int =
-    if (n.isLeaf) n.entries.length else countEntries(n.child0) + countEntries(n.child1)
+  /** Full-cardinality symbol of segment `seg` of the series at position `p`. */
+  private[index] def symbol(p: Int, seg: Int): Int = IsaxIndex.symbolAt(words, p * config.w + seg)
 
-  private def insert(e: Entry): Unit = {
-    val key = ISax.rootKey(e.sax)
-    val root = rootMap.getOrElseUpdate(key, {
-      val word = e.sax.map(_ >>> (ISax.MaxBits - 1))
+  private def countSeries(n: TreeNode): Int =
+    if (n.isLeaf) n.size else countSeries(n.child0) + countSeries(n.child1)
+
+  /** `ISax.rootKey` of the word at position `p`. */
+  private def rootKey(p: Int): Int = {
+    var k = 0
+    var i = 0
+    while (i < config.w) {
+      k = (k << 1) | (symbol(p, i) >>> (ISax.MaxBits - 1))
+      i += 1
+    }
+    k
+  }
+
+  private def insert(p: Int): Unit = {
+    val root = rootMap.getOrElseUpdate(rootKey(p), {
+      val word = Array.tabulate(config.w)(symbol(p, _) >>> (ISax.MaxBits - 1))
       new TreeNode(word, Array.fill(config.w)(1))
     })
     var node = root
     _treeOps += 1
     while (!node.isLeaf) {
       val b   = node.bits(node.splitSeg) // child bit depth already = b after split
-      val bit = (e.sax(node.splitSeg) >>> (ISax.MaxBits - b - 1)) & 1
+      val bit = (symbol(p, node.splitSeg) >>> (ISax.MaxBits - b - 1)) & 1
       node = if (bit == 0) node.child0 else node.child1
       _treeOps += 1
     }
-    node.entries += e
-    if (node.entries.length > config.leafCapacity) split(node)
+    node.add(p)
+    if (node.size > config.leafCapacity) split(node)
   }
 
   /** Split `node` by promoting the segment with the fewest bits (lowest
     * index on ties); gives up (oversized leaf) when every segment is at
     * max cardinality. Children that still overflow are split recursively.
+    * Each child keeps its positions in the parent's order.
     */
   private def split(node: TreeNode): Unit = {
     var seg = -1
@@ -116,34 +144,42 @@ final class IsaxIndex private (val config: IndexConfig, val length: Int) {
       new TreeNode(w2, b2)
     }
     val c0 = childNode(0); val c1 = childNode(1)
-    val moved = node.entries
-    node.entries = null
+    val moved = node.positions
+    val nMoved = node.size
+    node.positions = null
+    node.size = 0
     node.splitSeg = seg
     node.child0 = c0; node.child1 = c1
-    moved.foreach { e =>
-      val bit = (e.sax(seg) >>> (ISax.MaxBits - nb)) & 1
-      (if (bit == 0) c0 else c1).entries += e
+    i = 0
+    while (i < nMoved) {
+      val p = moved(i)
+      val bit = (symbol(p, seg) >>> (ISax.MaxBits - nb)) & 1
+      (if (bit == 0) c0 else c1).add(p)
       _treeOps += 1
+      i += 1
     }
-    if (c0.entries.length > config.leafCapacity) split(c0)
-    if (c1.entries.length > config.leafCapacity) split(c1)
+    if (c0.size > config.leafCapacity) split(c0)
+    if (c1.size > config.leafCapacity) split(c1)
   }
 
   def buildStats: BuildStats = {
     var leaves = 0; var inner = 0; var entryCount = 0L
     def walk(n: TreeNode): Unit =
-      if (n.isLeaf) { leaves += 1; entryCount += n.entries.length }
+      if (n.isLeaf) { leaves += 1; entryCount += n.size }
       else { inner += 1; walk(n.child0); walk(n.child1) }
     rootMap.values.foreach(walk)
     // Index payload: per entry id(8) + data pointer(8) + packed word (w
     // bytes); per node word/bits/pointers ~ 64B. Raw data is NOT index.
     val bytes = entryCount * (16L + config.w) + (leaves + inner) * 64L
-    BuildStats(_nSeries, bufferOps = _nSeries * length, treeOps = _treeOps,
+    BuildStats(nSeries, bufferOps = nSeries * length, treeOps = _treeOps,
                indexBytes = bytes, nLeaves = leaves, nInner = inner, nRoots = rootMap.size)
   }
 }
 
 object IsaxIndex {
+
+  /** The symbol stored at `words(i)`, read unsigned: symbols run 0..255. */
+  @inline private[index] def symbolAt(words: Array[Byte], i: Int): Int = words(i) & 0xff
 
   /** Summarize + index a chunk given as `(id, series)` pairs, inserted in
     * iteration order; see the id-array form.
@@ -155,27 +191,35 @@ object IsaxIndex {
   }
 
   /** Summarize + index the chunk whose position `i` holds series `ids(i)`,
-    * `seriesAt(i)`. Summaries (series, PAA, full-cardinality word) are
-    * computed in parallel [[Blocks]] on the common pool, so `seriesAt` must
-    * be a pure function of `i`; the entries then enter the tree one by one
-    * in position order, so every leaf, split and op count is that of a
-    * sequential build. `cost` is charged one op per point for summarization
-    * and one per tree-node visit during insertion.
+    * `seriesAt(i)`; the index keeps both `ids` and the returned arrays.
+    * Summaries (series, PAA, full-cardinality word) are computed in
+    * parallel [[Blocks]] on the common pool, each position writing only its
+    * own `w` word slots, so `seriesAt` must be a pure function of `i`; the
+    * positions then enter the tree one by one in order, so every leaf,
+    * split and op count is that of a sequential build. `cost` is charged
+    * one op per point for summarization and one per tree-node visit during
+    * insertion.
     */
   def build(ids: Array[Long], seriesAt: Int => Array[Double], config: IndexConfig,
             cost: Cost): IsaxIndex = {
     require(ids.nonEmpty, "cannot build an index over an empty chunk")
-    val entries = Blocks.tabulate(ids.length) { i =>
+    val w = config.w
+    val words = new Array[Byte](ids.length * w)
+    val series = Blocks.tabulate(ids.length) { i =>
       val values = seriesAt(i)
-      new Entry(ids(i), values, ISax.word(Paa.of(values, config.w)))
+      val paa = Paa.of(values, w)
+      var s = 0
+      while (s < w) { words(i * w + s) = ISax.symbol(paa(s), ISax.MaxBits).toByte; s += 1 }
+      values
     }
-    val idx = new IsaxIndex(config, entries(0).values.length)
-    entries.foreach { e =>
-      require(e.values.length == idx.length, s"ragged series length for id=${e.id}")
-      idx.insert(e)
+    val idx = new IsaxIndex(config, ids, series, words)
+    var p = 0
+    while (p < ids.length) {
+      require(series(p).length == idx.length, s"ragged series length for id=${ids(p)}")
+      idx.insert(p)
+      p += 1
     }
-    idx._nSeries = entries.length
-    cost.add(idx._nSeries * idx.length + idx._treeOps)
+    cost.add(idx.nSeries * idx.length + idx._treeOps)
     idx
   }
 }

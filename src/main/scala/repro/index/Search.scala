@@ -76,20 +76,26 @@ final class QueryCtx(val values: Array[Double], val mode: Mode, w: Int,
   /** Lower bound of the real distance for an index node's word region. */
   def nodeLb(node: TreeNode): Double = QueryCtx.nodeLb(lbTable, node)
 
-  /** Lower bound of the real distance for a single indexed entry, from its
-    * full-cardinality word (the index stores words, not PAAs — MESSI-style).
+  /** Lower bound of the real distance for the series at position `p` of
+    * `index`, from its full-cardinality word (the index stores words, not
+    * PAAs — MESSI-style).
     */
-  def entryLb(e: Entry): Double = QueryCtx.entryLb(lbTable, e.sax)
+  def entryLb(index: IsaxIndex, p: Int): Double =
+    QueryCtx.entryLb(lbTable, index.words, p * index.config.w, index.config.w)
 
-  /** Real distance, early-abandoning against `bound`. For DTW a LB_Keogh
-    * cascade runs first (itself a DTW lower bound).
+  /** Real distance to the series at position `p` of `index`,
+    * early-abandoning against `bound`. For DTW a LB_Keogh cascade runs
+    * first (itself a DTW lower bound).
     */
-  def realDist(e: Entry, bound: Double, cost: Cost): Double = mode match {
-    case Euclidean => Distances.edEarlyAbandon(values, e.values, bound, cost)
-    case Dtw(r) =>
-      val lbk = Distances.lbKeogh(e.values, envUp, envLo, bound, cost)
-      if (lbk >= bound) Double.PositiveInfinity
-      else Distances.dtwBand(values, e.values, r, bound, cost)
+  def realDist(index: IsaxIndex, p: Int, bound: Double, cost: Cost): Double = {
+    val s = index.series(p)
+    mode match {
+      case Euclidean => Distances.edEarlyAbandon(values, s, bound, cost)
+      case Dtw(r) =>
+        val lbk = Distances.lbKeogh(s, envUp, envLo, bound, cost)
+        if (lbk >= bound) Double.PositiveInfinity
+        else Distances.dtwBand(values, s, r, bound, cost)
+    }
   }
 }
 
@@ -155,12 +161,13 @@ object QueryCtx {
     math.sqrt(acc)
   }
 
-  @inline private[index] def entryLb(tab: Array[Double], sax: Array[Int]): Double = {
+  /** The bound of the `w`-symbol word at `words(off)`. */
+  @inline private[index] def entryLb(tab: Array[Double], words: Array[Byte], off: Int, w: Int): Double = {
     var acc = 0.0
     var i = 0
     var slot = 1 << ISax.MaxBits
-    while (i < sax.length) {
-      acc += tab(slot + sax(i))
+    while (i < w) {
+      acc += tab(slot + IsaxIndex.symbolAt(words, off + i))
       slot += Stride
       i += 1
     }
@@ -266,13 +273,16 @@ object Search {
       val bit = (ctx.sax(node.splitSeg) >>> (ISax.MaxBits - b - 1)) & 1
       val next = if (bit == 0) node.child0 else node.child1
       // an empty sibling can exist right after a split; fall to the other
-      node = if (next.isLeaf && next.entries.isEmpty) (if (bit == 0) node.child1 else node.child0)
+      node = if (next.isLeaf && next.size == 0) (if (bit == 0) node.child1 else node.child0)
              else next
-      if (node.isLeaf && node.entries.isEmpty) return heap
+      if (node.isLeaf && node.size == 0) return heap
     }
-    node.entries.foreach { e =>
-      val d = ctx.realDist(e, heap.bound, cost)
-      heap.offer(d, e.id)
+    var i = 0
+    while (i < node.size) {
+      val p = node.positions(i)
+      val d = ctx.realDist(index, p, heap.bound, cost)
+      heap.offer(d, index.ids(p))
+      i += 1
     }
     heap
   }
@@ -280,7 +290,7 @@ object Search {
   /** Exact search (§3.2.1): approximate phase for the initial BSF, tree
     * traversal per RS-batch populating size-thresholded priority queues,
     * PQ array sorted by top priority, then in-order PQ processing with
-    * per-entry lower-bound filtering and early-abandoning real distances.
+    * per-series lower-bound filtering and early-abandoning real distances.
     * Every node and entry lower bound is a few reads of the query's
     * `lbTable`.
     *
@@ -304,6 +314,8 @@ object Search {
 
     val tab = ctx.lbTable
     val w = ctx.paa.length
+    val ids = index.ids
+    val words = index.words
     val roots = index.roots
     val nsb = math.min(params.nsb, roots.length)
     val batchOps = new Array[Long](nsb)
@@ -328,7 +340,7 @@ object Search {
           val lb = QueryCtx.nodeLb(tab, node)
           if (lb < bound) {
             if (node.isLeaf) {
-              if (node.entries.nonEmpty) {
+              if (node.size > 0) {
                 queues.add(node, lb)
                 leavesTouched += 1
                 if (queues.open >= th) queues.close(b)
@@ -378,15 +390,16 @@ object Search {
         val leaf = leafOrder(li)
         if (lbs(leaf) >= bound) abandoned = true // queue is lb-sorted: the rest prune too
         else {
-          val entries = queues.leaves(leaf).entries
+          val node = queues.leaves(leaf)
+          val positions = node.positions
           var ei = 0
-          while (ei < entries.length) {
-            val e = entries(ei)
+          while (ei < node.size) {
+            val pos = positions(ei)
             cost.add(w)
-            if (QueryCtx.entryLb(tab, e.sax) < bound) {
-              val d = ctx.realDist(e, bound, cost)
+            if (QueryCtx.entryLb(tab, words, pos * w, w) < bound) {
+              val d = ctx.realDist(index, pos, bound, cost)
               nReal += 1
-              if (heap.offer(d, e.id)) bound = math.min(bound, heap.bound)
+              if (heap.offer(d, ids(pos))) bound = math.min(bound, heap.bound)
             }
             ei += 1
           }

@@ -1,7 +1,7 @@
 package repro.index
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Cost, ISax, SeriesGen}
+import repro.core.{Cost, ISax, Paa, SeriesGen}
 import repro.core.SeriesGen.presets
 
 class IsaxIndexSpec extends AnyFunSuite {
@@ -15,11 +15,17 @@ class IsaxIndexSpec extends AnyFunSuite {
     if (root.isLeaf) Seq(root)
     else collectLeaves(root.child0) ++ collectLeaves(root.child1)
 
+  /** The chunk positions a leaf holds, in its order. */
+  private def positions(leaf: TreeNode): Seq[Int] = leaf.positions.take(leaf.size).toSeq
+
+  /** The full-cardinality word stored for position `p`. */
+  private def word(idx: IsaxIndex, p: Int): Array[Int] = Array.tabulate(idx.config.w)(idx.symbol(p, _))
+
   for (n <- Seq(50, 300, 1000); cap <- Seq(8, 32); w <- Seq(4, 8)) {
     test(s"index holds every series exactly once (n=$n, cap=$cap, w=$w)") {
       val idx = IsaxIndex.build(dataset(n).iterator, IndexConfig(w, cap))
       val ids = idx.rootsSorted.flatMap { case (_, r) => collectLeaves(r) }
-        .flatMap(_.entries).map(_.id)
+        .flatMap(positions).map(idx.ids(_))
       assert(ids.length == n)
       assert(ids.toSet == (0L until n.toLong).toSet)
       assert(idx.nSeries == n)
@@ -30,7 +36,7 @@ class IsaxIndexSpec extends AnyFunSuite {
     val idx = IsaxIndex.build(dataset(2000).iterator, IndexConfig(w = 8, leafCapacity = 16))
     idx.rootsSorted.foreach { case (_, root) =>
       collectLeaves(root).foreach { leaf =>
-        if (leaf.entries.length > 16) assert(leaf.bits.forall(_ == ISax.MaxBits))
+        if (leaf.size > 16) assert(leaf.bits.forall(_ == ISax.MaxBits))
       }
     }
   }
@@ -39,10 +45,10 @@ class IsaxIndexSpec extends AnyFunSuite {
     val idx = IsaxIndex.build(dataset(800).iterator, IndexConfig(w = 8, leafCapacity = 8))
     idx.rootsSorted.foreach { case (_, root) =>
       collectLeaves(root).foreach { leaf =>
-        leaf.entries.foreach { e =>
+        positions(leaf).foreach { p =>
           leaf.bits.indices.foreach { seg =>
             val b = leaf.bits(seg)
-            assert((e.sax(seg) >>> (ISax.MaxBits - b)) == leaf.word(seg),
+            assert((idx.symbol(p, seg) >>> (ISax.MaxBits - b)) == leaf.word(seg),
                    s"seg=$seg bits=$b")
           }
         }
@@ -54,7 +60,7 @@ class IsaxIndexSpec extends AnyFunSuite {
     val idx = IsaxIndex.build(dataset(800).iterator, IndexConfig(w = 4, leafCapacity = 8))
     def walk(node: TreeNode): Unit =
       if (!node.isLeaf) {
-        assert(node.entries == null)
+        assert(node.positions == null && node.size == 0)
         val seg = node.splitSeg
         Seq(node.child0, node.child1).zipWithIndex.foreach { case (c, bit) =>
           assert(c.bits(seg) == node.bits(seg) + 1)
@@ -68,8 +74,8 @@ class IsaxIndexSpec extends AnyFunSuite {
   test("root keys agree with the entries they hold") {
     val idx = IsaxIndex.build(dataset(500).iterator, IndexConfig(w = 8, leafCapacity = 16))
     idx.rootsSorted.foreach { case (key, root) =>
-      collectLeaves(root).flatMap(_.entries).foreach { e =>
-        assert(ISax.rootKey(e.sax) == key)
+      collectLeaves(root).flatMap(positions).foreach { p =>
+        assert(ISax.rootKey(word(idx, p)) == key)
       }
     }
   }
@@ -79,7 +85,7 @@ class IsaxIndexSpec extends AnyFunSuite {
     val counts = idx.bufferCounts
     assert(counts.values.sum == 600)
     idx.rootsSorted.foreach { case (key, root) =>
-      assert(counts(key) == collectLeaves(root).map(_.entries.length).sum)
+      assert(counts(key) == collectLeaves(root).map(_.size).sum)
     }
   }
 
@@ -145,7 +151,7 @@ class IsaxIndexSpec extends AnyFunSuite {
   /** Everything a build decides: root keys, each leaf's id sequence, stats. */
   private def shape(idx: IsaxIndex): (Seq[Int], Seq[Seq[Long]], BuildStats) =
     (idx.rootsSorted.map(_._1),
-     idx.rootsSorted.flatMap { case (_, r) => collectLeaves(r) }.map(_.entries.map(_.id).toSeq),
+     idx.rootsSorted.flatMap { case (_, r) => collectLeaves(r) }.map(positions(_).map(idx.ids(_))),
      idx.buildStats)
 
   private val seismic = presets.byName("Seismic", 4096)
@@ -182,5 +188,76 @@ class IsaxIndexSpec extends AnyFunSuite {
         SeriesGen.series(seismic, i.toLong)
       }, tightConfig, new Cost))
     assert(e.getMessage.contains("no series at position 3001"))
+  }
+
+  test("every position lies in exactly one leaf, ascending within it") {
+    val idx = seismicBuild()
+    val leaves = idx.rootsSorted.flatMap { case (_, r) => collectLeaves(r) }.map(positions)
+    assert(leaves.flatten.sorted == (0 until 4096))
+    leaves.foreach(ps => assert(ps.sliding(2).forall(p => p.length < 2 || p(0) < p(1)), ps))
+  }
+
+  test("the words column holds each series' full-cardinality word") {
+    for (w <- Seq(4, 8, 16)) {
+      val data = dataset(300, "Random")
+      val idx = IsaxIndex.build(data.iterator, IndexConfig(w = w, leafCapacity = 8))
+      assert(idx.words.length == 300 * w)
+      data.indices.foreach { p =>
+        assert(idx.series(p) eq data(p)._2)
+        assert(idx.ids(p) == data(p)._1)
+        assert(word(idx, p).sameElements(ISax.word(Paa.of(idx.series(p), w))), s"w=$w p=$p")
+      }
+    }
+  }
+
+  test("symbols above 127 are read unsigned: root keys, descent and bounds match ISax.word") {
+    // Constant +10 series sit in the top region (symbol 255, stored as byte -1),
+    // constant -10 series in the bottom one; the leaves overflow down to max bits.
+    val w = 8
+    val data = (0 until 100).map { i =>
+      (i.toLong, Array.fill(64)(if (i % 4 == 0) -10.0 - i * 1e-3 else 10.0 + i * 1e-3))
+    }
+    val idx = IsaxIndex.build(data.iterator, IndexConfig(w = w, leafCapacity = 4))
+    assert(idx.rootsSorted.map(_._1) == Seq(0, 255))
+    val fullBits = Array.fill(w)(ISax.MaxBits)
+    data.indices.foreach { p =>
+      val want = ISax.word(Paa.of(data(p)._2, w))
+      assert(want.forall(s => s == 0 || s == 255))
+      assert(word(idx, p).sameElements(want))
+    }
+    idx.rootsSorted.foreach { case (key, root) =>
+      collectLeaves(root).foreach { leaf =>
+        positions(leaf).foreach { p =>
+          assert(ISax.rootKey(ISax.word(Paa.of(data(p)._2, w))) == key)
+          leaf.bits.indices.foreach { seg =>
+            assert((ISax.word(Paa.of(data(p)._2, w))(seg) >>> (ISax.MaxBits - leaf.bits(seg))) == leaf.word(seg))
+          }
+        }
+      }
+    }
+    val top = collectLeaves(idx.roots(idx.rootIndex(255)))
+    assert(top.exists(l => l.size > 4 && l.bits.forall(_ == ISax.MaxBits)), "the top leaf must split to max bits")
+    for (q <- Seq(Array.fill(64)(10.0), Array.fill(64)(0.5), Array.fill(64)(-10.0))) {
+      val ctx = new QueryCtx(q, Euclidean, w, idx.segSizes)
+      data.indices.foreach { p =>
+        val want = ISax.mindistPaaToWord(ctx.paa, idx.segSizes, ISax.word(Paa.of(data(p)._2, w)), fullBits)
+        assert(ctx.entryLb(idx, p) == want, s"p=$p")
+      }
+      val approx = Search.approx(idx, ctx, new Cost).toSortedList
+      val exact = Search.exact(idx, q, SearchParams(nsb = 2)).topK
+      val brute = Search.bruteForce(data.iterator, q)
+      assert(exact.map(_._2) == brute.map(_._2) && math.abs(exact.head._1 - brute.head._1) < 1e-9)
+      assert(approx.nonEmpty && approx.forall { case (_, id) => (id % 4 == 0) == (q(0) < 0) })
+    }
+  }
+
+  test("Spark's size estimate of an index counts at least its raw series") {
+    val n = 16384
+    val spec = presets.random(n)
+    val idx = IsaxIndex.build(Array.tabulate(n)(_.toLong), i => SeriesGen.series(spec, i.toLong),
+                              IndexConfig(), new Cost)
+    val raw = n.toLong * spec.length * 8
+    val estimate = org.apache.spark.util.SizeEstimator.estimate(idx)
+    assert(estimate >= raw, s"estimate $estimate < raw series bytes $raw")
   }
 }

@@ -24,7 +24,7 @@ class QueryCtxSpec extends AnyFunSuite {
       val data = (0L until spec.n.toLong).map(id => (id, SeriesGen.series(spec, id)))
       val idx = IsaxIndex.build(data.iterator, IndexConfig(w = w, leafCapacity = 8))
       val all = idx.rootsSorted.flatMap { case (_, r) => nodes(r) }
-      val entries = all.filter(_.isLeaf).flatMap(_.entries)
+      val entries = all.filter(_.isLeaf).flatMap(l => l.positions.take(l.size))
       assert(entries.length == spec.n)
       val fullBits = Array.fill(w)(ISax.MaxBits)
       for (mode <- modes; q <- 0 until 3) {
@@ -37,9 +37,10 @@ class QueryCtxSpec extends AnyFunSuite {
           val (got, want) = (ctx.nodeLb(n), kernel(n.word, n.bits))
           assert(got == want, s"$mode q=$q node bits=${n.bits.mkString(",")}: $got != $want")
         }
-        entries.foreach { e =>
-          val (got, want) = (ctx.entryLb(e), kernel(e.sax, fullBits))
-          assert(got == want, s"$mode q=$q entry ${e.id}: $got != $want")
+        entries.foreach { p =>
+          val word = Array.tabulate(w)(idx.symbol(p, _))
+          val (got, want) = (ctx.entryLb(idx, p), kernel(word, fullBits))
+          assert(got == want, s"$mode q=$q entry ${idx.ids(p)}: $got != $want")
         }
       }
     }
