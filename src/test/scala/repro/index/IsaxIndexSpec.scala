@@ -220,17 +220,15 @@ class IsaxIndexSpec extends AnyFunSuite {
     val idx = IsaxIndex.build(data.iterator, IndexConfig(w = w, leafCapacity = 4))
     assert(idx.rootsSorted.map(_._1) == Seq(0, 255))
     val fullBits = Array.fill(w)(ISax.MaxBits)
-    data.indices.foreach { p =>
-      val want = ISax.word(Paa.of(data(p)._2, w))
-      assert(want.forall(s => s == 0 || s == 255))
-      assert(word(idx, p).sameElements(want))
-    }
+    val kernelWords = data.map { case (_, v) => ISax.word(Paa.of(v, w)) }
+    assert(kernelWords.flatten.forall(s => s == 0 || s == 255))
+    data.indices.foreach(p => assert(word(idx, p).sameElements(kernelWords(p))))
     idx.rootsSorted.foreach { case (key, root) =>
       collectLeaves(root).foreach { leaf =>
         positions(leaf).foreach { p =>
-          assert(ISax.rootKey(ISax.word(Paa.of(data(p)._2, w))) == key)
+          assert(ISax.rootKey(kernelWords(p)) == key)
           leaf.bits.indices.foreach { seg =>
-            assert((ISax.word(Paa.of(data(p)._2, w))(seg) >>> (ISax.MaxBits - leaf.bits(seg))) == leaf.word(seg))
+            assert((kernelWords(p)(seg) >>> (ISax.MaxBits - leaf.bits(seg))) == leaf.word(seg))
           }
         }
       }
@@ -240,7 +238,7 @@ class IsaxIndexSpec extends AnyFunSuite {
     for (q <- Seq(Array.fill(64)(10.0), Array.fill(64)(0.5), Array.fill(64)(-10.0))) {
       val ctx = new QueryCtx(q, Euclidean, w, idx.segSizes)
       data.indices.foreach { p =>
-        val want = ISax.mindistPaaToWord(ctx.paa, idx.segSizes, ISax.word(Paa.of(data(p)._2, w)), fullBits)
+        val want = ISax.mindistPaaToWord(ctx.paa, idx.segSizes, kernelWords(p), fullBits)
         assert(ctx.entryLb(idx, p) == want, s"p=$p")
       }
       val approx = Search.approx(idx, ctx, new Cost).toSortedList
