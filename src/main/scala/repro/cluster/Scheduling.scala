@@ -52,14 +52,22 @@ object Scheduling {
     out.map(_.toVector).toVector
   }
 
-  /** The queue order a dynamic scheduler serves: arrival order for DYNAMIC,
-    * descending-prediction order for PREDICT-DN.
+  /** The query queue each of `nNodes` nodes serves, in order. A static kind
+    * gives every node its own queue; DYNAMIC and PREDICT-DN put the
+    * coordinator's one queue at every index, so an idle node pulls the next
+    * unserved query: in arrival order for DYNAMIC, by descending prediction
+    * for PREDICT-DN.
     */
-  def dynamicOrder(qids: Seq[Int], est: Int => Double, kind: SchedulerKind): Vector[Int] =
+  def queues(kind: SchedulerKind, qids: Seq[Int], est: Int => Double,
+             nNodes: Int): IndexedSeq[mutable.Queue[Int]] = {
+    def own(assigned: Vector[Vector[Int]]) = assigned.map(mutable.Queue.from(_))
+    def shared(order: Seq[Int]) = { val q = mutable.Queue.from(order); Vector.fill(nNodes)(q) }
     kind match {
-      case PredictDn => qids.sortBy(q => -est(q)).toVector
-      case _         => qids.toVector
+      case Static            => own(staticAssign(qids, nNodes))
+      case PredictStUnsorted => own(predictAssign(qids, est, nNodes, sorted = false))
+      case PredictSt         => own(predictAssign(qids, est, nNodes, sorted = true))
+      case Dynamic           => shared(qids)
+      case PredictDn         => shared(qids.sortBy(q => -est(q)))
     }
-
-  def isDynamic(kind: SchedulerKind): Boolean = kind == Dynamic || kind == PredictDn
+  }
 }

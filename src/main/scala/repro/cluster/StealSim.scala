@@ -8,6 +8,12 @@ import repro.index.PqStat
 /** Event-driven simulation of one replication group answering a query
   * batch (§3.1 scheduling + §3.2.2 work stealing).
   *
+  * Each node serves its query queue from [[Scheduling.queues]]: a static
+  * scheduler gives every node its own queue, a dynamic one lets all nodes
+  * pull from the coordinator's one queue. A node whose queue is empty tries
+  * to steal (when stealing is on); a node that can do neither gets no
+  * further event.
+  *
   * Every node in the group holds the same chunk, so each query's execution
   * plan ([[IntraNodeSim.QueryWork]]) is identical across members. The
   * serial + traversal phases are opaque busy intervals. The PQ-processing
@@ -45,21 +51,20 @@ object StealSim {
   /** List-schedule `tasks` in order onto threads whose absolute free times
     * are `clocks`, advancing them.
     */
-  private def schedule(tasks: Seq[PqStat], clocks: Array[Double], rate1: Double): Vector[Slot] = {
+  private def schedule(tasks: Seq[PqStat], clocks: Array[Double]): Vector[Slot] = {
     val slots = Vector.newBuilder[Slot]
     tasks.foreach { tk =>
       val th = clocks.indices.minBy(clocks)
       val start = clocks(th)
-      val end = start + tk.procOps / rate1
+      val end = start + CostModel.serialSecs(tk.procOps)
       slots += Slot(tk, start, end, th)
       clocks(th) = end
     }
     slots.result()
   }
 
-  private final class Running(val qw: QueryWork, val pqStart: Double,
-                              threads: Int, rate1: Double) {
-    var slots: Vector[Slot] = schedule(qw.tasks, Array.fill(threads)(pqStart), rate1)
+  private final class Running(val qw: QueryWork, val pqStart: Double, threads: Int) {
+    var slots: Vector[Slot] = schedule(qw.tasks, Array.fill(threads)(pqStart))
     def finish: Double = if (slots.isEmpty) pqStart else slots.map(_.end).max
 
     /** Slots not yet started at `t` (stealable region). */
@@ -73,21 +78,20 @@ object StealSim {
       val keepPending = pending.filterNot(s => batches(s.task.batchId))
       val threadFree = Array.fill(threads)(t)
       fixed.foreach(s => threadFree(s.thread) = math.max(threadFree(s.thread), s.end))
-      slots = fixed ++ schedule(keepPending.map(_.task), threadFree, rate1)
+      slots = fixed ++ schedule(keepPending.map(_.task), threadFree)
     }
   }
 
-  private final class NodeState {
-    val queue: mutable.Queue[Int] = mutable.Queue.empty // static assignment
+  /** A node serving `queue`; only its event of the current `version` is live. */
+  private final class NodeState(val queue: mutable.Queue[Int]) {
     var version: Int = 0
     var current: Running = _
     var lastActive: Double = 0.0
-    var done: Boolean = false
   }
 
   /** Simulate a group of `nNodes` nodes answering `works` (indexed by qid).
     *
-    * @param kind  scheduler; static kinds pre-assign, dynamic kinds pull
+    * @param kind  scheduler: the nodes' queues come from [[Scheduling.queues]]
     * @param est   predicted cost per query (used by PREDICT-* kinds)
     * @param steal enable inter-node work stealing
     */
@@ -97,21 +101,8 @@ object StealSim {
                threads: Int = CostModel.ThreadsPerNode,
                seed: Long = 1234): GroupResult = {
     require(nNodes >= 1)
-    val rate1 = CostModel.OpsPerSec // ops/sec of one thread
     val rng = new Rng.Stream(Rng.key(seed, nNodes.toLong))
-    val nodes = Array.fill(nNodes)(new NodeState)
-
-    val dynamicQueue = mutable.Queue.empty[Int]
-    if (Scheduling.isDynamic(kind)) dynamicQueue ++= Scheduling.dynamicOrder(qids, est, kind)
-    else {
-      val assigned = kind match {
-        case Static            => Scheduling.staticAssign(qids, nNodes)
-        case PredictStUnsorted => Scheduling.predictAssign(qids, est, nNodes, sorted = false)
-        case PredictSt         => Scheduling.predictAssign(qids, est, nNodes, sorted = true)
-        case other             => throw new IllegalStateException(s"unexpected $other")
-      }
-      assigned.zipWithIndex.foreach { case (qs, n) => nodes(n).queue ++= qs }
-    }
+    val nodes = Scheduling.queues(kind, qids, est, nNodes).map(new NodeState(_))
 
     var nSteals = 0
     var stolenOps = 0L
@@ -121,18 +112,11 @@ object StealSim {
     val events = mutable.PriorityQueue.empty[(Double, Int, Int)]
     (0 until nNodes).foreach(n => events.enqueue((0.0, n, 0)))
 
-    def nextQuery(n: Int): Option[Int] = {
-      val st = nodes(n)
-      if (Scheduling.isDynamic(kind)) { if (dynamicQueue.nonEmpty) Some(dynamicQueue.dequeue()) else None }
-      else if (st.queue.nonEmpty) Some(st.queue.dequeue())
-      else None
-    }
-
     def startQuery(n: Int, t: Double, qid: Int): Unit = {
       val st = nodes(n)
       val qw = works(qid)
       val pqStart = t + CostModel.serialSecs(qw.serialOps) + qw.traversalSecs
-      st.current = new Running(qw, pqStart, threads, rate1)
+      st.current = new Running(qw, pqStart, threads)
       st.version += 1
       st.lastActive = st.current.finish
       processedOps += qw.serialOps + qw.pqOpsTotal
@@ -151,16 +135,13 @@ object StealSim {
       // whole RS-batches until nSend batches are chosen. Task order in the
       // slots vector is the sorted PQ-array order (and slots are in start
       // order), so "rightmost" = last.
-      val chosen = mutable.LinkedHashSet.empty[Int]
-      pending.reverseIterator.foreach { s =>
-        if (chosen.size < nSend) chosen += s.task.batchId
-      }
+      val chosen = pending.reverseIterator.map(_.task.batchId).distinct.take(nSend).toSet
       val taken = pending.filter(s => chosen(s.task.batchId)).map(_.task)
       // thief: handshake + rebuild of the stolen batches + processing,
       // list-scheduled on its own threads (`pending` is non-empty, so is `taken`)
       val rebuild = chosen.iterator.map(r.qw.batchOps(_)).sum
-      val serialPart = (HandshakeOps + rebuild) / rate1
-      val busyUntil = schedule(taken, Array.fill(threads)(t + serialPart), rate1).map(_.end).max
+      val serialPart = CostModel.serialSecs(HandshakeOps + rebuild)
+      val busyUntil = schedule(taken, Array.fill(threads)(t + serialPart)).map(_.end).max
       // profitability: a thief that would end no earlier than the victim's
       // query as it stands could only delay the group — the victim declines
       // (|S| = 0)
@@ -201,25 +182,21 @@ object StealSim {
     while (events.nonEmpty) {
       val (t, n, v) = events.dequeue()
       val st = nodes(n)
-      if (v == st.version && !st.done) {
+      if (v == st.version) {
         st.current = null
-        nextQuery(n) match {
+        st.queue.removeHeadOption() match {
           case Some(q) => startQuery(n, t, q)
           case None =>
-            if (!steal) st.done = true
-            else if (!attemptSteal(n, t)) {
-              nextWakePoint(n, t) match {
-                case Some(w) =>
-                  st.version += 1
-                  events.enqueue((math.max(w, t + 1e-9), n, st.version))
-                case None => st.done = true
+            if (steal && !attemptSteal(n, t))
+              nextWakePoint(n, t).foreach { w =>
+                st.version += 1
+                events.enqueue((math.max(w, t + 1e-9), n, st.version))
               }
-            }
         }
       }
     }
 
-    val finish = nodes.map(_.lastActive)
-    GroupResult(if (finish.isEmpty) 0.0 else finish.max, finish, nSteals, stolenOps, processedOps)
+    val finish = nodes.map(_.lastActive).toArray
+    GroupResult(finish.max, finish, nSteals, stolenOps, processedOps)
   }
 }

@@ -20,14 +20,21 @@ class SchedulingSpec extends AnyFunSuite {
     assert(got(1).toSet == Set(2, 0, 1)) // {q3, q1, q2}
   }
 
+  /** The one queue every node of a dynamic scheduler pulls from. */
+  private def coordinatorQueue(kind: SchedulerKind): Vector[Int] = {
+    val qs = Scheduling.queues(kind, qids, est, 2)
+    assert(qs.length == 2 && (qs(0) eq qs(1)))
+    qs(0).toVector
+  }
+
   test("paper example: dynamic prediction order starts q4, q3") {
-    val order = Scheduling.dynamicOrder(qids, est, PredictDn)
+    val order = coordinatorQueue(PredictDn)
     assert(order.take(2) == Vector(3, 2))
     assert(order == Vector(3, 2, 0, 4, 1))
   }
 
   test("DYNAMIC keeps arrival order") {
-    assert(Scheduling.dynamicOrder(qids, est, Dynamic) == qids.toVector)
+    assert(coordinatorQueue(Dynamic) == qids.toVector)
   }
 
   for (nQ <- Seq(1, 7, 16, 100); nNodes <- Seq(1, 2, 4, 8)) {
@@ -77,7 +84,12 @@ class SchedulingSpec extends AnyFunSuite {
     assert(PredictStUnsorted.name == "PREDICT-ST-UNSORTED")
     assert(PredictSt.name == "PREDICT-ST")
     assert(PredictDn.name == "PREDICT-DN")
-    assert(Scheduling.isDynamic(Dynamic) && Scheduling.isDynamic(PredictDn))
-    assert(!Scheduling.isDynamic(Static) && !Scheduling.isDynamic(PredictSt))
+    // static kinds give each node its own queue, from their assignment
+    Seq(Static -> Scheduling.staticAssign(qids, 2),
+        PredictStUnsorted -> Scheduling.predictAssign(qids, est, 2, sorted = false),
+        PredictSt -> Scheduling.predictAssign(qids, est, 2, sorted = true)).foreach { case (kind, assigned) =>
+      val qs = Scheduling.queues(kind, qids, est, 2)
+      assert(!(qs(0) eq qs(1)) && qs.map(_.toVector) == assigned, kind.name)
+    }
   }
 }
