@@ -42,6 +42,11 @@ object StealSim {
   /** N_send: RS-batches a victim gives away per steal (§3.2.2). */
   val NSend: Int = 4
 
+  /** @param stolenOps    what the thieves ran: handshakes, rebuilds and the
+    *                     moved queues
+    * @param processedOps every query's serial and PQ ops once, plus each
+    *                     steal's handshake and rebuild
+    */
   final case class GroupResult(makespan: Double, perNodeFinish: Array[Double],
                                nSteals: Int, stolenOps: Long, processedOps: Long)
 
@@ -154,9 +159,9 @@ object StealSim {
       me.version += 1
       me.lastActive = busyUntil
       nSteals += 1
-      val ops = HandshakeOps + rebuild + taken.map(_.procOps).sum
-      stolenOps += ops
-      processedOps += ops
+      stolenOps += HandshakeOps + rebuild + taken.map(_.procOps).sum
+      // the victim counted the moved queues' ops when it started the query
+      processedOps += HandshakeOps + rebuild
       events.enqueue((busyUntil, n, me.version))
       true
     }

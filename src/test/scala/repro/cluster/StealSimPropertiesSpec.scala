@@ -69,6 +69,18 @@ class StealSimPropertiesSpec extends AnyFunSuite {
     })
   }
 
+  test("with stealing, processedOps is the total work plus each steal's handshake") {
+    // free rebuilds: a steal moves work without adding any but its handshake
+    var steals = 0
+    holds(Prop.forAll(genGroup) { g0 =>
+      val g = g0.copy(steal = true, works = g0.works.view.mapValues(w => w.copy(batchOps = w.batchOps.map(_ => 0L))).toMap)
+      val r = g.run()
+      steals += r.nSteals
+      r.processedOps == g.totalOps + r.nSteals * StealSim.HandshakeOps
+    })
+    assert(steals > 0)
+  }
+
   test("the same seed gives an equal GroupResult") {
     holds(Prop.forAll(genGroup) { g => fields(g.run()) == fields(g.run()) })
   }
