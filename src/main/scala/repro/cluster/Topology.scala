@@ -25,15 +25,6 @@ final case class Layout(nNodes: Int, k: Int) {
   /** Replication degree (= group size = number of clusters). */
   def degree: Int = nNodes / k
 
-  /** Node `n` stores chunk `n % k` (node n belongs to cluster n / k). */
-  def chunkOfNode(node: Int): Int = node % k
-
-  /** Nodes of the replication group storing chunk `c`. */
-  def group(c: Int): Seq[Int] = (0 until degree).map(j => j * k + c)
-
-  /** The clusters: each holds one node per chunk. */
-  def clusters: Seq[Seq[Int]] = (0 until degree).map(j => (0 until k).map(c => j * k + c))
-
   def name: String =
     if (k == 1) "FULL" else if (k == nNodes) "EQUALLY-SPLIT" else s"PARTIAL-$k"
 }
