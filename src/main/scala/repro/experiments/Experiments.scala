@@ -344,11 +344,13 @@ object Experiments {
     def cfg(nn: Int, k: Int) = ClusterConfig(nn, k, rs, scheduler = Dynamic, steal = true,
                                              params = params.copy(threshold = sp.threshold),
                                              indexConfig = ic)
-    // every (node count, chunk count) cell; cells with equal chunk counts share one build
+    // every (node count, chunk count) cell; the node count only enters the
+    // simulation, so cells with equal chunk counts share one measurement
     val cells = (for ((_, chunks) <- strategies; nn <- nodeCounts) yield (nn, chunks(nn))).distinct
     val secs = cells.groupBy(_._2).flatMap { case (k, group) =>
-      OdysseyCluster.withIndexes(spark, spec, cfg(k, k))(indexes =>
-        group.map(cell => cell -> f(OdysseyCluster.run(indexes, queries, cfg(cell._1, k), None).querySecs)))
+      val chunked = cfg(k, k)
+      val reports = OdysseyCluster.withIndexes(spark, spec, chunked)(OdysseyCluster.measure(_, queries, chunked))
+      group.map(cell => cell -> f(OdysseyCluster.simulate(reports, cfg(cell._1, k)).querySecs))
     }
     val rows = strategies.map { case (name, chunks) => name +: nodeCounts.map(nn => secs((nn, chunks(nn)))) }
     Table(title, "strategy" +: nodeCounts.map(n => s"$n nodes"), rows)
