@@ -6,7 +6,7 @@ import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cluster.IntraNodeSim.QueryWork
 import repro.index.PqStat
-import StealSimPropertiesSpec.Group
+import StealSimPropertiesSpec.{Group, genGroup, kinds}
 
 /** The simulator's laws, checked over generated replication groups. */
 class StealSimPropertiesSpec extends AnyFunSuite {
@@ -17,33 +17,6 @@ class StealSimPropertiesSpec extends AnyFunSuite {
     val res = Check.check(params, prop)
     assert(res.passed, Pretty.pretty(res))
   }
-
-  private val kinds = Seq(Static, Dynamic, PredictStUnsorted, PredictSt, PredictDn)
-
-  /** One query: up to 40 PQ tasks over up to 6 RS-batches, in ascending
-    * top-lower-bound order as `Search.exact` emits them.
-    */
-  private def genWork(qid: Int): Gen[QueryWork] = for {
-    serial    <- Gen.choose(0L, 10000000L)
-    traversal <- Gen.choose(0.0, 0.05)
-    nBatches  <- Gen.choose(1, 6)
-    batchOps  <- Gen.listOfN(nBatches, Gen.choose(0L, 5000000L))
-    nTasks    <- Gen.choose(0, 40)
-    tasks     <- Gen.listOfN(nTasks, Gen.zip(Gen.choose(0, nBatches - 1), Gen.choose(0L, 50000000L)))
-  } yield QueryWork(qid, serial, traversal,
-    tasks.zipWithIndex.map { case ((b, ops), i) => PqStat(b, i.toDouble, 1, ops) }.toVector,
-    batchOps.toArray)
-
-  private val genGroup: Gen[Group] = for {
-    nNodes <- Gen.choose(1, 8)
-    nQ     <- Gen.choose(0, 12)
-    works  <- Gen.sequence[List[QueryWork], QueryWork]((0 until nQ).map(genWork))
-    est    <- Gen.listOfN(nQ, Gen.choose(1.0, 100.0))
-    kind   <- Gen.oneOf(kinds)
-    steal  <- Gen.oneOf(true, false)
-    seed   <- Gen.choose(0L, 1000L)
-  } yield Group(nNodes, works.map(w => w.qid -> w).toMap, est.zipWithIndex.map(_.swap).toMap,
-                kind, steal, seed)
 
   private def fields(r: StealSim.GroupResult) =
     (r.makespan, r.perNodeFinish.toSeq, r.nSteals, r.stolenOps, r.processedOps)
@@ -102,6 +75,33 @@ class StealSimPropertiesSpec extends AnyFunSuite {
 }
 
 object StealSimPropertiesSpec {
+
+  val kinds = Seq(Static, Dynamic, PredictStUnsorted, PredictSt, PredictDn)
+
+  /** One query: up to 40 PQ tasks over up to 6 RS-batches, in ascending
+    * top-lower-bound order as `Search.exact` emits them.
+    */
+  def genWork(qid: Int): Gen[QueryWork] = for {
+    serial    <- Gen.choose(0L, 10000000L)
+    traversal <- Gen.choose(0.0, 0.05)
+    nBatches  <- Gen.choose(1, 6)
+    batchOps  <- Gen.listOfN(nBatches, Gen.choose(0L, 5000000L))
+    nTasks    <- Gen.choose(0, 40)
+    tasks     <- Gen.listOfN(nTasks, Gen.zip(Gen.choose(0, nBatches - 1), Gen.choose(0L, 50000000L)))
+  } yield QueryWork(qid, serial, traversal,
+    tasks.zipWithIndex.map { case ((b, ops), i) => PqStat(b, i.toDouble, 1, ops) }.toVector,
+    batchOps.toArray)
+
+  val genGroup: Gen[Group] = for {
+    nNodes <- Gen.choose(1, 8)
+    nQ     <- Gen.choose(0, 12)
+    works  <- Gen.sequence[List[QueryWork], QueryWork]((0 until nQ).map(genWork))
+    est    <- Gen.listOfN(nQ, Gen.choose(1.0, 100.0))
+    kind   <- Gen.oneOf(kinds)
+    steal  <- Gen.oneOf(true, false)
+    seed   <- Gen.choose(0L, 1000L)
+  } yield Group(nNodes, works.map(w => w.qid -> w).toMap, est.zipWithIndex.map(_.swap).toMap,
+                kind, steal, seed)
 
   /** One replication group's input to [[StealSim.simulate]]. */
   final case class Group(nNodes: Int, works: Map[Int, QueryWork], est: Map[Int, Double],
