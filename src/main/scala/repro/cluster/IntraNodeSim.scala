@@ -10,8 +10,9 @@ import repro.index.{PqStat, QueryRun}
   *    capped at HelpTH extra threads per batch, so its makespan is bounded
   *    below by both total/threads and the largest batch split HelpTH+1 ways;
   *  - the PQ-processing phase is list scheduling of atomic PQ tasks in
-  *    sorted order on the node's threads — this is where the threshold TH
-  *    earns its keep (few huge queues => one thread drags the phase).
+  *    sorted order on the node's threads, which [[StealSim]] runs — this is
+  *    where the threshold TH earns its keep (few huge queues => one thread
+  *    drags the phase).
   */
 object IntraNodeSim {
 
@@ -28,22 +29,6 @@ object IntraNodeSim {
   final case class QueryWork(qid: Int, serialOps: Long, traversalSecs: Double,
                              tasks: Vector[PqStat], batchOps: Array[Long]) {
     def pqOpsTotal: Long = tasks.iterator.map(_.procOps).sum
-
-    /** Undisturbed single-node execution time on `threads` threads. */
-    def soloSecs(threads: Int): Double =
-      CostModel.serialSecs(serialOps) + traversalSecs +
-        listScheduleMakespan(tasks.map(t => CostModel.serialSecs(t.procOps)), threads)
-  }
-
-  /** Makespan of atomic tasks pulled in order by `threads` workers. */
-  def listScheduleMakespan(taskSecs: Seq[Double], threads: Int): Double = {
-    if (taskSecs.isEmpty) return 0.0
-    val clocks = new Array[Double](math.max(1, threads))
-    taskSecs.foreach { s =>
-      val i = clocks.indices.minBy(clocks)
-      clocks(i) += s
-    }
-    clocks.max
   }
 
   /** Traversal-phase makespan with RS-batch helping (Algorithm 2, lines 11-14). */

@@ -3,9 +3,9 @@ package repro.cluster
 import org.apache.spark.sql.SparkSession
 import repro.core.SeriesGen
 import repro.core.SeriesGen.DatasetSpec
-import repro.index.{IndexConfig, QueryRun, SearchParams, ThresholdModel}
+import repro.index.{BuildStats, IndexConfig, QueryRun, SearchParams, ThresholdModel}
 import repro.index.ThresholdModel.SigmoidFit
-import repro.spark.{BuildStatRow, ChunkReport, DistributedSearch, QueryStatRow}
+import repro.spark.{ChunkReport, DistributedSearch, QueryStatRow}
 import repro.spark.DistributedSearch.ChunkIndexes
 
 /** Full Odyssey pipeline configuration (Fig. 3). Its layout is checked when
@@ -38,20 +38,29 @@ final case class ClusterConfig(
   def nSend: Int = StealSim.NSend
 }
 
-/** Everything an experiment needs: exact answers, the three simulated
-  * times of the paper's evaluation (buffer, tree, query answering), and
-  * diagnostics.
+/** Everything an experiment needs: exact answers, the measured chunk
+  * reports and each replication group's simulation, in chunk order. The
+  * three simulated times of the paper's evaluation (buffer, tree, query
+  * answering) and the other totals are derived from those records.
   */
 final case class RunResult(
     config: ClusterConfig,
     answers: Map[Int, List[(Double, Long)]],
-    bufferSecs: Double, treeSecs: Double, querySecs: Double,
-    indexBytes: Long, nSteals: Int,
-    reports: Seq[ChunkReport]) {
+    reports: Seq[ChunkReport],
+    groups: Seq[StealSim.GroupResult]) {
+  /** The slowest chunk's summarization, its nodes' threads sharing the work. */
+  def bufferSecs: Double = reports.map(r => CostModel.parallelSecs(r.build.bufferOps, config.threads)).max
+  /** The slowest chunk's tree inserts, its nodes' threads sharing the work. */
+  def treeSecs: Double = reports.map(r => CostModel.parallelSecs(r.build.treeOps, config.threads)).max
+  /** The slowest replication group's makespan. */
+  def querySecs: Double = groups.map(_.makespan).max
+  /** Every chunk's index, once per replica. */
+  def indexBytes: Long = reports.map(_.build.indexBytes).sum * config.layout.degree
+  def nSteals: Int = groups.map(_.nSteals).sum
   def indexSecs: Double = bufferSecs + treeSecs
   def totalSecs: Double = indexSecs + querySecs
   def queryStats: Seq[QueryStatRow] = reports.flatMap(_.queries)
-  def buildStats: Seq[BuildStatRow] = reports.map(_.build)
+  def buildStats: Seq[BuildStats] = reports.map(_.build)
 }
 
 object OdysseyCluster {
@@ -100,36 +109,18 @@ object OdysseyCluster {
     */
   def simulate(reports: Seq[ChunkReport], cfg: ClusterConfig,
                predictor: Option[Prediction.LinearModel] = None): RunResult = {
-    val layout = cfg.layout
-
-    // Stage 5: exact global answers by merging per-chunk top-k lists.
-    val answers = DistributedSearch.mergeAnswers(reports, cfg.params.k)
-
-    // Stage 3 + timing: schedule and steal inside each replication group.
+    val degree = cfg.layout.degree
     val qids = reports.head.queries.map(_.qid)
-    var worstGroup = 0.0
-    var steals = 0
-    reports.foreach { rep =>
-      val chunk = rep.build.chunk
+    // Stage 3: schedule and steal inside each replication group.
+    val groups = reports.map { rep =>
       val byQid = rep.queries.map(q => q.qid -> q).toMap
-      val works = byQid.view.mapValues { qs =>
-        IntraNodeSim.plan(qs.qid, toRun(qs), cfg.threads)
-      }.toMap
-      val est: Int => Double = q =>
-        predictor.map(_.predict(byQid(q).approxBsf)).getOrElse(1.0)
-      val res = StealSim.simulate(layout.degree, works, qids, cfg.scheduler, est,
-                                  steal = cfg.steal && layout.degree > 1,
-                                  nSend = cfg.nSend, threads = cfg.threads,
-                                  seed = 77L + chunk)
-      worstGroup = math.max(worstGroup, res.makespan)
-      steals += res.nSteals
+      val works = byQid.view.mapValues(qs => IntraNodeSim.plan(qs.qid, toRun(qs), cfg.threads)).toMap
+      val est: Int => Double = q => predictor.map(_.predict(byQid(q).approxBsf)).getOrElse(1.0)
+      StealSim.simulate(degree, works, qids, cfg.scheduler, est, steal = cfg.steal && degree > 1,
+                        nSend = cfg.nSend, threads = cfg.threads, seed = 77L + rep.build.chunk)
     }
-
-    val bufferSecs = reports.map(r => CostModel.parallelSecs(r.build.bufferOps, cfg.threads)).max
-    val treeSecs   = reports.map(r => CostModel.parallelSecs(r.build.treeOps, cfg.threads)).max
-    val indexBytes = reports.map(_.build.indexBytes).sum * layout.degree
-
-    RunResult(cfg, answers, bufferSecs, treeSecs, worstGroup, indexBytes, steals, reports)
+    // Stage 5: exact global answers by merging per-chunk top-k lists.
+    RunResult(cfg, DistributedSearch.mergeAnswers(reports, cfg.params.k), reports, groups)
   }
 
   /** Rehydrate a [[repro.index.QueryRun]]-shaped record from a stats row.
@@ -153,9 +144,18 @@ object OdysseyCluster {
     DistributedSearch.answer(indexes, queries, params, Map.empty).head.queries
   }
 
+  /** Both fits regress on the initial BSF, which is +inf when a query's
+    * approximate leaf holds fewer than k series.
+    */
+  private def checkFiniteBsf(rows: Seq[QueryStatRow]): Unit =
+    rows.foreach(qs => require(java.lang.Double.isFinite(qs.approxBsf),
+      s"training query ${qs.qid} starts from an initial BSF of ${qs.approxBsf}: its approximate leaf holds fewer than k series"))
+
   /** The paper's linear cost predictor (Fig. 4): total ops on initial BSF. */
-  def fitPredictor(rows: Seq[QueryStatRow]): Prediction.LinearModel =
+  def fitPredictor(rows: Seq[QueryStatRow]): Prediction.LinearModel = {
+    checkFiniteBsf(rows)
     Prediction.fitOls(rows.map(_.approxBsf), rows.map(_.totalOps.toDouble))
+  }
 
   /** Fit the cost predictor on `nTrain` training queries over one FULL build. */
   def trainPredictor(spark: SparkSession, spec: DatasetSpec, nTrain: Int,
@@ -168,8 +168,9 @@ object OdysseyCluster {
     * y = median uncapped PQ size (any fit in `params` is cleared).
     */
   def trainThreshold(indexes: ChunkIndexes, nTrain: Int,
-                     params: SearchParams = SearchParams()): SigmoidFit =
-    ThresholdModel.fit(
-      trainingRows(indexes, nTrain, params.copy(threshold = Int.MaxValue, thresholdFit = None))
-        .map(qs => (qs.approxBsf, ThresholdModel.medianPqSize(qs.tasks))))
+                     params: SearchParams = SearchParams()): SigmoidFit = {
+    val rows = trainingRows(indexes, nTrain, params.copy(threshold = Int.MaxValue, thresholdFit = None))
+    checkFiniteBsf(rows)
+    ThresholdModel.fit(rows.map(qs => (qs.approxBsf, ThresholdModel.medianPqSize(qs.tasks))))
+  }
 }

@@ -18,8 +18,9 @@ import repro.index.PqStat
   * plan ([[IntraNodeSim.QueryWork]]) is identical across members. The
   * serial + traversal phases are opaque busy intervals. The PQ-processing
   * phase is *task-granular*: PQ tasks are list-scheduled in sorted order
-  * onto the node's threads (matching [[QueryWork.soloSecs]] exactly when
-  * undisturbed), and a task is stealable while it has not started yet.
+  * onto the node's threads (so an undisturbed query takes its serial and
+  * traversal time plus the list-scheduled makespan of its tasks), and a
+  * task is stealable while it has not started yet.
   *
   * Stealing follows Algorithms 3-4: an idle node picks a random still-active
   * victim; the victim gives away the queues of up to `nSend` RS-batches that
@@ -42,12 +43,14 @@ object StealSim {
   /** N_send: RS-batches a victim gives away per steal (§3.2.2). */
   val NSend: Int = 4
 
-  /** @param stolenOps    what the thieves ran: handshakes, rebuilds and the
+  /** @param perNodeFinish when each node of the group last ran a query or a
+    *                     steal
+    * @param stolenOps    what the thieves ran: handshakes, rebuilds and the
     *                     moved queues
     * @param processedOps every query's serial and PQ ops once, plus each
     *                     steal's handshake and rebuild
     */
-  final case class GroupResult(makespan: Double, perNodeFinish: Array[Double],
+  final case class GroupResult(makespan: Double, perNodeFinish: Vector[Double],
                                nSteals: Int, stolenOps: Long, processedOps: Long)
 
   /** One scheduled PQ task: absolute [start, end) on a specific thread. */
@@ -201,7 +204,7 @@ object StealSim {
       }
     }
 
-    val finish = nodes.map(_.lastActive).toArray
+    val finish = nodes.map(_.lastActive).toVector
     GroupResult(finish.max, finish, nSteals, stolenOps, processedOps)
   }
 }

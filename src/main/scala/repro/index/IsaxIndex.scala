@@ -1,6 +1,6 @@
 package repro.index
 
-import scala.collection.{immutable, mutable}
+import scala.collection.immutable
 import repro.core.{Blocks, Cost, ISax, Paa}
 
 /** Index build configuration.
@@ -39,8 +39,8 @@ final class TreeNode(val word: Array[Int], val bits: Array[Int]) {
   }
 }
 
-/** Per-chunk index build statistics (feeds Fig. 14 / Fig. 17 benches). */
-final case class BuildStats(nSeries: Long, bufferOps: Long, treeOps: Long,
+/** Index build statistics of chunk `chunk` (feeds Fig. 14 / Fig. 17 benches). */
+final case class BuildStats(chunk: Int, nSeries: Long, bufferOps: Long, treeOps: Long,
                             indexBytes: Long, nLeaves: Int, nInner: Int, nRoots: Int)
 
 /** In-memory iSAX index over one data chunk (the per-node index of §3.2.1).
@@ -52,39 +52,35 @@ final case class BuildStats(nSeries: Long, bufferOps: Long, treeOps: Long,
   * [[IsaxIndex.symbolAt]]. Construction mirrors the single-node parallel
   * indexes of §2: fill the columns in parallel blocks (the "summarization
   * buffer" pass), then insert the positions one by one, in chunk order,
-  * each into the root subtree of its first-bit word. `rootsSorted` exposes
-  * the subtrees in root-word order, sorted once; the searcher groups
-  * consecutive subtrees into RS-batches.
+  * each into the root subtree of its first-bit word. As MESSI's
+  * summarization buffers, the subtrees sit in a dense array indexed by that
+  * word's [[ISax.rootKey]]; `rootsSorted` lists the non-empty ones in key
+  * order, and the searcher groups consecutive subtrees into RS-batches.
   */
-final class IsaxIndex private (val config: IndexConfig,
+final class IsaxIndex private (val chunk: Int, val config: IndexConfig,
                                private[index] val ids: Array[Long],
                                private[index] val series: Array[Array[Double]],
                                private[index] val words: Array[Byte]) {
   val length: Int = series(0).length
   val segSizes: Array[Int] = Paa.segmentSizes(length, config.w)
-  private val rootMap = mutable.HashMap.empty[Int, TreeNode]
   private var _treeOps = 0L
 
-  /** Root subtrees ordered by packed first-bit word (stable RS-batch ids).
-    * Sorted once, on first use after the build: sorting at the end of
-    * `build` slowed the build's JIT warm-up under `-Xbatch`.
+  /** The root subtree of each packed first-bit word, null where no series
+    * has that word; callers must not write.
+    */
+  private[index] val rootSlots: Array[TreeNode] = new Array[TreeNode](1 << config.w)
+
+  /** Non-empty root subtrees ordered by packed first-bit word (stable
+    * RS-batch ids), listed on first use after the build.
     */
   lazy val rootsSorted: IndexedSeq[(Int, TreeNode)] =
-    immutable.ArraySeq.unsafeWrapArray(rootMap.toArray.sortBy(_._1))
-
-  private lazy val rootKeys: Array[Int] = rootsSorted.map(_._1).toArray
+    immutable.ArraySeq.unsafeWrapArray(rootSlots.indices.filter(rootSlots(_) != null).map(k => k -> rootSlots(k)).toArray)
 
   /** The subtrees of `rootsSorted`, for the search loops; callers must not write. */
   private[index] lazy val roots: Array[TreeNode] = rootsSorted.map(_._2).toArray
 
-  /** Position in `roots` of the subtree with root word `key`, or -1. */
-  private[index] def rootIndex(key: Int): Int = {
-    val i = java.util.Arrays.binarySearch(rootKeys, key)
-    if (i >= 0) i else -1
-  }
-
   /** Summarization-buffer histogram: packed root word -> series count. */
-  def bufferCounts: Map[Int, Int] = rootMap.view.mapValues(countSeries).toMap
+  def bufferCounts: Map[Int, Int] = rootsSorted.map { case (key, root) => key -> countSeries(root) }.toMap
 
   def nSeries: Long = ids.length.toLong
 
@@ -106,11 +102,12 @@ final class IsaxIndex private (val config: IndexConfig,
   }
 
   private def insert(p: Int): Unit = {
-    val root = rootMap.getOrElseUpdate(rootKey(p), {
+    val key = rootKey(p)
+    if (rootSlots(key) == null) {
       val word = Array.tabulate(config.w)(symbol(p, _) >>> (ISax.MaxBits - 1))
-      new TreeNode(word, Array.fill(config.w)(1))
-    })
-    var node = root
+      rootSlots(key) = new TreeNode(word, Array.fill(config.w)(1))
+    }
+    var node = rootSlots(key)
     _treeOps += 1
     while (!node.isLeaf) {
       val b   = node.bits(node.splitSeg) // child bit depth already = b after split
@@ -167,12 +164,12 @@ final class IsaxIndex private (val config: IndexConfig,
     def walk(n: TreeNode): Unit =
       if (n.isLeaf) { leaves += 1; entryCount += n.size }
       else { inner += 1; walk(n.child0); walk(n.child1) }
-    rootMap.values.foreach(walk)
+    roots.foreach(walk)
     // Index payload: per entry id(8) + data pointer(8) + packed word (w
     // bytes); per node word/bits/pointers ~ 64B. Raw data is NOT index.
     val bytes = entryCount * (16L + config.w) + (leaves + inner) * 64L
-    BuildStats(nSeries, bufferOps = nSeries * length, treeOps = _treeOps,
-               indexBytes = bytes, nLeaves = leaves, nInner = inner, nRoots = rootMap.size)
+    BuildStats(chunk, nSeries, bufferOps = nSeries * length, treeOps = _treeOps,
+               indexBytes = bytes, nLeaves = leaves, nInner = inner, nRoots = roots.length)
   }
 }
 
@@ -182,15 +179,15 @@ object IsaxIndex {
   @inline private[index] def symbolAt(words: Array[Byte], i: Int): Int = words(i) & 0xff
 
   /** Summarize + index a chunk given as `(id, series)` pairs, inserted in
-    * iteration order; see the id-array form.
+    * iteration order, as chunk 0; see the id-array form.
     */
   def build(seriesIt: Iterator[(Long, Array[Double])], config: IndexConfig,
             cost: Cost = new Cost): IsaxIndex = {
     val (ids, values) = seriesIt.toArray.unzip
-    build(ids, values(_), config, cost)
+    build(0, ids, values(_), config, cost)
   }
 
-  /** Summarize + index the chunk whose position `i` holds series `ids(i)`,
+  /** Summarize + index chunk `chunk`, whose position `i` holds series `ids(i)`,
     * `seriesAt(i)`; the index keeps both `ids` and the returned arrays.
     * Summaries (series, PAA, full-cardinality word) are computed in
     * parallel [[Blocks]] on the common pool, each position writing only its
@@ -200,7 +197,7 @@ object IsaxIndex {
     * one op per point for summarization and one per tree-node visit during
     * insertion.
     */
-  def build(ids: Array[Long], seriesAt: Int => Array[Double], config: IndexConfig,
+  def build(chunk: Int, ids: Array[Long], seriesAt: Int => Array[Double], config: IndexConfig,
             cost: Cost): IsaxIndex = {
     require(ids.nonEmpty, "cannot build an index over an empty chunk")
     val w = config.w
@@ -212,7 +209,7 @@ object IsaxIndex {
       while (s < w) { words(i * w + s) = ISax.symbol(paa(s), ISax.MaxBits).toByte; s += 1 }
       values
     }
-    val idx = new IsaxIndex(config, ids, series, words)
+    val idx = new IsaxIndex(chunk, config, ids, series, words)
     var p = 0
     while (p < ids.length) {
       require(series(p).length == idx.length, s"ragged series length for id=${ids(p)}")

@@ -260,8 +260,8 @@ object Search {
     val heap = new KnnHeap(k)
     val roots = index.roots
     if (roots.isEmpty) return heap
-    val at = index.rootIndex(ISax.rootKey(ctx.sax))
-    val root = if (at >= 0) roots(at) else {
+    val slot = index.rootSlots(ISax.rootKey(ctx.sax))
+    val root = if (slot != null) slot else {
       // no matching subtree: take the root with the smallest lower bound
       cost.add(roots.length.toLong * ctx.paa.length)
       roots.minBy(ctx.nodeLb)

@@ -29,16 +29,8 @@ object QueryStatRow {
       totalOps = run.totalOps, nRealDists = run.nRealDists)
 }
 
-/** Per-chunk index build measurement. */
-final case class BuildStatRow(chunk: Int, nSeries: Long, bufferOps: Long, treeOps: Long,
-                              indexBytes: Long, nLeaves: Int, nInner: Int, nRoots: Int)
-
-object BuildStatRow {
-  def of(chunk: Int, bs: BuildStats): BuildStatRow =
-    BuildStatRow(chunk, bs.nSeries, bs.bufferOps, bs.treeOps, bs.indexBytes, bs.nLeaves, bs.nInner, bs.nRoots)
-}
-
-final case class ChunkReport(build: BuildStatRow, queries: Seq[QueryStatRow])
+/** One chunk's measurement: its index build and its per-query rows. */
+final case class ChunkReport(build: BuildStats, queries: Seq[QueryStatRow])
 
 /** The distributed dataflow (stages 1-2-4 of Fig. 3): one Spark task per
   * chunk generates the chunk's own series and builds its iSAX index once, so
@@ -59,15 +51,18 @@ object DistributedSearch {
       answer(_, queries, params, Map.empty))
 
   /** The cached chunk indexes of one build; only [[withIndexes]] makes one. */
-  final class ChunkIndexes private[DistributedSearch] (private[DistributedSearch] val rdd: RDD[(Int, IsaxIndex)],
+  final class ChunkIndexes private[DistributedSearch] (private[DistributedSearch] val rdd: RDD[IsaxIndex],
       val spec: DatasetSpec, val nChunks: Int, val indexConfig: IndexConfig)
 
-  /** The one build path: check the chunk assignment on the driver, hand the
-    * chunk indexes to `use`, built by the first job over them and reused by
-    * every later one, and release them afterwards, also when `use` throws.
+  /** The one build path: check the series length and the chunk assignment on
+    * the driver, hand the chunk indexes to `use`, built by the first job over
+    * them and reused by every later one, and release them afterwards, also
+    * when `use` throws.
     */
   def withIndexes[T](spark: SparkSession, spec: DatasetSpec, chunkOf: Long => Int, nChunks: Int,
                      indexConfig: IndexConfig)(use: ChunkIndexes => T): T = {
+    require(spec.length >= indexConfig.w,
+      s"series of length ${spec.length} are shorter than the index's w = ${indexConfig.w} segments")
     checkChunks(spec.n, chunkOf, nChunks)
     val indexes = new ChunkIndexes(buildIndexes(spark, spec, chunkOf, nChunks, indexConfig),
                                    spec, nChunks, indexConfig)
@@ -90,13 +85,12 @@ object DistributedSearch {
     * series emits no index.
     */
   private def buildIndexes(spark: SparkSession, spec: DatasetSpec, chunkOf: Long => Int,
-                           nChunks: Int, indexConfig: IndexConfig): RDD[(Int, IsaxIndex)] =
+                           nChunks: Int, indexConfig: IndexConfig): RDD[IsaxIndex] =
     spark.sparkContext.parallelize(0 until nChunks, nChunks)
       .flatMap { chunk =>
         val ids = Array.range(0, spec.n).filter(chunkOf(_) == chunk).map(_.toLong)
         if (ids.isEmpty) Iterator.empty
-        else Iterator.single(
-          chunk -> IsaxIndex.build(ids, i => SeriesGen.series(spec, ids(i)), indexConfig, new Cost))
+        else Iterator.single(IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), indexConfig, new Cost))
       }
       .persist(StorageLevel.MEMORY_ONLY)
 
@@ -114,7 +108,7 @@ object DistributedSearch {
                    params: SearchParams): Map[Int, Double] = {
     checkQueries(indexes.spec, queries)
     val qs = queries // local val: avoid closing over anything non-serializable
-    val perChunk = indexes.rdd.map { case (_, index) =>
+    val perChunk = indexes.rdd.map { index =>
       qs.map { q =>
         val ctx = new QueryCtx(q, params.mode, index.config.w, index.segSizes)
         Search.approx(index, ctx, new Cost, params.k).bound
@@ -131,12 +125,12 @@ object DistributedSearch {
              startBounds: Map[Int, Double]): Seq[ChunkReport] = {
     checkQueries(indexes.spec, queries)
     val qs = queries
-    val reports = indexes.rdd.map { case (chunk, index) =>
+    val reports = indexes.rdd.map { index =>
       val queryRows = qs.indices.map { qid =>
-        QueryStatRow.of(chunk, qid, Search.exact(index, qs(qid), params,
+        QueryStatRow.of(index.chunk, qid, Search.exact(index, qs(qid), params,
           startBound = startBounds.getOrElse(qid, Double.PositiveInfinity)))
       }
-      ChunkReport(BuildStatRow.of(chunk, index.buildStats), queryRows)
+      ChunkReport(index.buildStats, queryRows)
     }
       .collect()
       .toSeq

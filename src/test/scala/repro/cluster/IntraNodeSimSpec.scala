@@ -7,18 +7,18 @@ import repro.index.{PqStat, QueryRun}
 class IntraNodeSimSpec extends AnyFunSuite {
 
   test("list scheduling: empty task list takes zero time") {
-    assert(IntraNodeSim.listScheduleMakespan(Seq.empty, 4) == 0.0)
+    assert(ListSchedule.makespan(Seq.empty, 4) == 0.0)
   }
 
   test("list scheduling: single thread is the serial sum") {
     val tasks = Seq(1.0, 2.0, 3.0)
-    assert(IntraNodeSim.listScheduleMakespan(tasks, 1) == 6.0)
+    assert(ListSchedule.makespan(tasks, 1) == 6.0)
   }
 
   for (t <- Seq(2, 4, 8)) {
     test(s"list scheduling bounds: total/T <= makespan <= total, >= max task (T=$t)") {
       val tasks = Seq(5.0, 1.0, 1.0, 1.0, 3.0, 2.0, 2.0)
-      val ms = IntraNodeSim.listScheduleMakespan(tasks, t)
+      val ms = ListSchedule.makespan(tasks, t)
       assert(ms >= tasks.sum / t - 1e-12)
       assert(ms >= tasks.max)
       assert(ms <= tasks.sum + 1e-12)
@@ -26,13 +26,13 @@ class IntraNodeSimSpec extends AnyFunSuite {
   }
 
   test("list scheduling: equal tasks on matching threads are perfectly parallel") {
-    val ms = IntraNodeSim.listScheduleMakespan(Seq.fill(8)(2.0), 8)
+    val ms = ListSchedule.makespan(Seq.fill(8)(2.0), 8)
     assert(math.abs(ms - 2.0) < 1e-12)
   }
 
   test("one giant task dominates the PQ phase — the imbalance TH fights") {
-    val balanced = IntraNodeSim.listScheduleMakespan(Seq.fill(16)(1.0), 8)
-    val skewed   = IntraNodeSim.listScheduleMakespan(Seq(9.0) ++ Seq.fill(7)(1.0), 8)
+    val balanced = ListSchedule.makespan(Seq.fill(16)(1.0), 8)
+    val skewed   = ListSchedule.makespan(Seq(9.0) ++ Seq.fill(7)(1.0), 8)
     assert(skewed > balanced * 2)
   }
 
@@ -66,8 +66,8 @@ class IntraNodeSimSpec extends AnyFunSuite {
       tasks = Vector(PqStat(0, 0.0, 1, 160000000L)), batchOps = Array(1L))
     val t = 16
     val expected = CostModel.serialSecs(100000000L) + 0.5 +
-      IntraNodeSim.listScheduleMakespan(Seq(CostModel.serialSecs(160000000L)), t)
-    assert(math.abs(qw.soloSecs(t) - expected) < 1e-12)
+      ListSchedule.makespan(Seq(CostModel.serialSecs(160000000L)), t)
+    assert(math.abs(ListSchedule.soloSecs(qw, t) - expected) < 1e-12)
   }
 
   test("cost model constants convert ops to seconds") {

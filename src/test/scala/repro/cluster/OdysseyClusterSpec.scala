@@ -121,6 +121,16 @@ class OdysseyClusterSpec extends SparkSpec {
     }
   }
 
+  test("series shorter than the index's w fail on the driver, naming both") {
+    val short = presets.seismic(n, length = 12)
+    val cfg = ClusterConfig(2, 2, eqSplit, indexConfig = IndexConfig(w = 16))
+    val (ran, e) = seen(intercept[IllegalArgumentException](
+      OdysseyCluster.run(spark, short, SeriesGen.queries(short, 1), cfg)))
+    assert(e.getMessage.contains("length 12") && e.getMessage.contains("w = 16"), e.getMessage)
+    assert(ran.stageTasks.isEmpty, "a Spark job ran")
+    assert(spark.sparkContext.getPersistentRDDs.isEmpty)
+  }
+
   test("a short or NaN query fails on the driver, naming the qid") {
     val short = queries.take(3) :+ queries(3).take(200)
     val nan = queries.take(2) :+ queries(2).updated(17, Double.NaN)
@@ -221,9 +231,7 @@ class OdysseyClusterSpec extends SparkSpec {
       val cfg = fig10Base.copy(nNodes = nn, scheduler = sched, steal = steal)
       val run = OdysseyCluster.run(spark, fig10Spec, fig10Queries, cfg, Some(fig10Predictor))
       val sim = OdysseyCluster.simulate(reports, cfg, Some(fig10Predictor))
-      run.productElementNames.zip(run.productIterator.zip(sim.productIterator)).foreach {
-        case (field, (r, s)) => assert(s == r, s"$field (nodes=$nn, ${sched.name}, steal=$steal)")
-      }
+      assert(run == sim, s"nodes=$nn, ${sched.name}, steal=$steal")
       run.querySecs
     }
     assert(secs.distinct.size > 1, "every config simulated to the same time")
@@ -298,6 +306,25 @@ class OdysseyClusterSpec extends SparkSpec {
     val m = OdysseyCluster.trainPredictor(spark, spec, nTrain = 16)
     assert(m.slope > 0, s"expected positive slope, got $m")
     assert(m.r2 > 0.1, s"expected some correlation, got r2=${m.r2}")
+  }
+
+  // k = 100 exceeds the default leaf capacity of 64, so no approximate leaf
+  // holds k series and every training query starts from an infinite BSF
+  private val knnPastLeaf = SearchParams(k = 100)
+
+  test("fitPredictor rejects a training query with an infinite initial BSF (k = 100)") {
+    val rows = OdysseyCluster.withIndexes(spark, spec, ClusterConfig(1, 1, eqSplit))(
+      OdysseyCluster.trainingRows(_, 3, knnPastLeaf))
+    assert(rows.forall(_.approxBsf.isPosInfinity))
+    val e = intercept[IllegalArgumentException](OdysseyCluster.fitPredictor(rows))
+    assert(e.getMessage.contains("training query 0 "), e.getMessage)
+  }
+
+  test("trainThreshold rejects a training query with an infinite initial BSF (k = 100)") {
+    val e = intercept[IllegalArgumentException](
+      OdysseyCluster.withIndexes(spark, spec, ClusterConfig(1, 1, eqSplit))(
+        OdysseyCluster.trainThreshold(_, nTrain = 3, knnPastLeaf)))
+    assert(e.getMessage.contains("training query 0 "), e.getMessage)
   }
 
   test("trainThreshold produces a usable sigmoid") {

@@ -4,10 +4,10 @@ import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cluster.IntraNodeSim.QueryWork
-import repro.core.SeriesGen
+import repro.core.{Cost, SeriesGen}
 import repro.core.SeriesGen.presets
 import repro.index.{IndexConfig, IsaxIndex, PqStat, Search, SearchParams}
-import repro.spark.{BuildStatRow, ChunkReport, QueryStatRow}
+import repro.spark.{ChunkReport, QueryStatRow}
 
 /** Pins the driver-side simulator the way `SearchSpec`'s `OpCountHash`
   * pins the search: every field of every `RunResult` that
@@ -37,8 +37,8 @@ class SimulatorHashSpec extends AnyFunSuite {
   private def reports(part: Partitioner): Seq[ChunkReport] =
     (0 until part.nChunks).map { chunk =>
       val ids = (0L until n.toLong).filter(part.chunkOf(_) == chunk).toArray
-      val index = IsaxIndex.build(ids.iterator.map(id => id -> SeriesGen.series(spec, id)), indexConfig)
-      ChunkReport(BuildStatRow.of(chunk, index.buildStats),
+      val index = IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), indexConfig, new Cost)
+      ChunkReport(index.buildStats,
                   queries.indices.map(q => QueryStatRow.of(chunk, q, Search.exact(index, queries(q), params))))
     }
 

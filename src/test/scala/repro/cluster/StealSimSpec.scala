@@ -20,7 +20,7 @@ class StealSimSpec extends AnyFunSuite {
   test("single node, no stealing: makespan is the serial chain of queries") {
     val works = Map(0 -> work(0, 4, 400000000L), 1 -> work(1, 4, 400000000L))
     val r = sim(1, works)
-    val expected = works.values.map(_.soloSecs(CostModel.ThreadsPerNode)).sum
+    val expected = works.values.map(ListSchedule.soloSecs(_, CostModel.ThreadsPerNode)).sum
     assert(math.abs(r.makespan - expected) < 1e-6)
     assert(r.nSteals == 0)
   }
@@ -91,7 +91,7 @@ class StealSimSpec extends AnyFunSuite {
                               q => works(q).pqOpsTotal.toDouble, steal = true, seed = 5)
     val b = StealSim.simulate(4, works, works.keys.toSeq.sorted, PredictDn,
                               q => works(q).pqOpsTotal.toDouble, steal = true, seed = 5)
-    assert(a.makespan == b.makespan && a.nSteals == b.nSteals)
+    assert(a == b)
   }
 
   test("every node's finish time is within the makespan; all queries run") {

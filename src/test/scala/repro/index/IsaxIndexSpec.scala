@@ -97,16 +97,18 @@ class IsaxIndexSpec extends AnyFunSuite {
     assert(keys.sliding(2).forall(p => p.length < 2 || p(0) < p(1)))
     assert(keys.toSet == idx.bufferCounts.keySet)
     keys.zipWithIndex.foreach { case (key, i) =>
-      assert(idx.rootIndex(key) == i)
+      assert(idx.rootSlots(key) eq roots(i)._2)
       assert(idx.roots(i) eq roots(i)._2)
     }
-    (0 until 256).filterNot(keys.toSet).foreach(key => assert(idx.rootIndex(key) == -1))
+    assert(idx.rootSlots.length == 256)
+    (0 until 256).filterNot(keys.toSet).foreach(key => assert(idx.rootSlots(key) == null))
   }
 
   test("build stats are consistent") {
     val cost = new Cost
     val idx = IsaxIndex.build(dataset(400).iterator, IndexConfig(w = 8, leafCapacity = 16), cost)
     val bs = idx.buildStats
+    assert(bs.chunk == 0)
     assert(bs.nSeries == 400)
     assert(bs.bufferOps == 400L * 256)
     assert(bs.treeOps > 0)
@@ -138,14 +140,14 @@ class IsaxIndexSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](IsaxIndex.build(bad, IndexConfig()))
     val longChunk = Array.tabulate(1000)(i => new Array[Double](if (i == 700) 65 else 64))
     val e = intercept[IllegalArgumentException](
-      IsaxIndex.build(Array.tabulate(1000)(_.toLong), longChunk(_), IndexConfig(), new Cost))
+      IsaxIndex.build(0, Array.tabulate(1000)(_.toLong), longChunk(_), IndexConfig(), new Cost))
     assert(e.getMessage.contains("id=700"))
   }
 
   test("empty input is rejected") {
     intercept[IllegalArgumentException](IsaxIndex.build(Iterator.empty, IndexConfig()))
     intercept[IllegalArgumentException](
-      IsaxIndex.build(Array.empty[Long], _ => new Array[Double](64), IndexConfig(), new Cost))
+      IsaxIndex.build(0, Array.empty[Long], _ => new Array[Double](64), IndexConfig(), new Cost))
   }
 
   /** Everything a build decides: root keys, each leaf's id sequence, stats. */
@@ -157,7 +159,7 @@ class IsaxIndexSpec extends AnyFunSuite {
   private val seismic = presets.byName("Seismic", 4096)
   private val tightConfig = IndexConfig(w = 8, leafCapacity = 8)
   private def seismicBuild(): IsaxIndex =
-    IsaxIndex.build(Array.tabulate(4096)(_.toLong), i => SeriesGen.series(seismic, i.toLong), tightConfig, new Cost)
+    IsaxIndex.build(0, Array.tabulate(4096)(_.toLong), i => SeriesGen.series(seismic, i.toLong), tightConfig, new Cost)
 
   test("every leaf holds its entries in strictly ascending id order") {
     val (_, leaves, stats) = shape(seismicBuild())
@@ -183,7 +185,7 @@ class IsaxIndexSpec extends AnyFunSuite {
 
   test("a series that fails to generate fails the build") {
     val e = intercept[IllegalArgumentException](
-      IsaxIndex.build(Array.tabulate(4096)(_.toLong), { i =>
+      IsaxIndex.build(0, Array.tabulate(4096)(_.toLong), { i =>
         require(i != 3001, "no series at position 3001")
         SeriesGen.series(seismic, i.toLong)
       }, tightConfig, new Cost))
@@ -233,7 +235,7 @@ class IsaxIndexSpec extends AnyFunSuite {
         }
       }
     }
-    val top = collectLeaves(idx.roots(idx.rootIndex(255)))
+    val top = collectLeaves(idx.rootSlots(255))
     assert(top.exists(l => l.size > 4 && l.bits.forall(_ == ISax.MaxBits)), "the top leaf must split to max bits")
     for (q <- Seq(Array.fill(64)(10.0), Array.fill(64)(0.5), Array.fill(64)(-10.0))) {
       val ctx = new QueryCtx(q, Euclidean, w, idx.segSizes)
@@ -252,7 +254,7 @@ class IsaxIndexSpec extends AnyFunSuite {
   test("Spark's size estimate of an index counts at least its raw series") {
     val n = 16384
     val spec = presets.random(n)
-    val idx = IsaxIndex.build(Array.tabulate(n)(_.toLong), i => SeriesGen.series(spec, i.toLong),
+    val idx = IsaxIndex.build(0, Array.tabulate(n)(_.toLong), i => SeriesGen.series(spec, i.toLong),
                               IndexConfig(), new Cost)
     val raw = n.toLong * spec.length * 8
     val estimate = org.apache.spark.util.SizeEstimator.estimate(idx)

@@ -1,7 +1,7 @@
 package repro.spark
 
 import repro.{Oracle, SparkSpec}
-import repro.core.SeriesGen
+import repro.core.{Cost, SeriesGen}
 import repro.core.SeriesGen.presets
 import repro.baselines.Dpisax
 import repro.cluster.{Partitioner, Partitioning}
@@ -104,9 +104,9 @@ class DistributedSearchSpec extends SparkSpec {
       assert(reports.map(_.build.chunk) == (0 until part.nChunks))
       reports.foreach { rep =>
         val chunk = rep.build.chunk
-        val ids = (0L until n.toLong).filter(id => part.chunkOf(id) == chunk)
-        val index = IsaxIndex.build(ids.iterator.map(id => id -> SeriesGen.series(spec, id)), IndexConfig())
-        assert(rep.build == BuildStatRow.of(chunk, index.buildStats))
+        val ids = (0L until n.toLong).filter(id => part.chunkOf(id) == chunk).toArray
+        val index = IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), IndexConfig(), new Cost)
+        assert(rep.build == index.buildStats)
         assert(rep.queries == queries.indices.map(q => QueryStatRow.of(chunk, q, Search.exact(index, queries(q), params))))
       }
     }
