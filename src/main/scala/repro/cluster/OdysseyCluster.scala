@@ -105,7 +105,8 @@ object OdysseyCluster {
     * pure function that runs no Spark job. It reads `cfg.layout`, `scheduler`,
     * `steal` and `params.k`; `reports` must
     * come from [[measure]] under a config that agrees with `cfg` on what
-    * `measure` reads.
+    * `measure` reads. With a PREDICT-* scheduler and no `predictor`, every
+    * estimate is 1.0.
     */
   def simulate(reports: Seq[ChunkReport], cfg: ClusterConfig,
                predictor: Option[Prediction.LinearModel] = None): RunResult = {

@@ -241,7 +241,7 @@ object Experiments {
       val spec = SeriesGen.presets.byName(name, s.n)
       val queries = SeriesGen.queries(spec, 100)
       val times = Seq(8, 4, 2, 1).map { k =>
-        val cfg = ClusterConfig(8, k, rs, scheduler = PredictDn, steal = true,
+        val cfg = ClusterConfig(8, k, rs, scheduler = Dynamic, steal = true,
                                 params = sp, indexConfig = ic)
         f(OdysseyCluster.run(spark, spec, queries, cfg).querySecs)
       }

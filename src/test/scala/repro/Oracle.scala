@@ -1,9 +1,11 @@
 package repro
 
 import java.sql.DriverManager
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{DataType, DoubleType, IntegerType, LongType}
 import org.duckdb.DuckDBConnection
+import repro.core.SeriesGen
+import repro.core.SeriesGen.DatasetSpec
 
 /** DuckDB correctness oracle.
   *
@@ -15,6 +17,9 @@ import org.duckdb.DuckDBConnection
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
   * to scalar columns — array/map/struct are not comparable here.
+  *
+  * For the search pipeline, ``explodedSeries`` and ``explodedQueries`` give
+  * the (id, pos, val) tables and ``BruteForceNnSql`` the brute-force 1-NN.
   */
 object Oracle {
 
@@ -91,4 +96,35 @@ object Oracle {
       )
     } finally conn.close()
   }
+
+  /** (id, pos, val) rows of the whole collection — oracle-side input. */
+  def explodedSeries(spark: SparkSession, spec: DatasetSpec): DataFrame = {
+    import spark.implicits._
+    spark.range(spec.n.toLong)
+      .flatMap { id =>
+        SeriesGen.series(spec, id).iterator.zipWithIndex
+          .map { case (v, pos) => (id, pos, v) }
+      }
+      .toDF("id", "pos", "val")
+  }
+
+  /** (qid, pos, val) rows for a query batch — oracle-side input. */
+  def explodedQueries(spark: SparkSession, queries: Array[Array[Double]]): DataFrame = {
+    import spark.implicits._
+    queries.zipWithIndex
+      .flatMap { case (q, qid) => q.iterator.zipWithIndex.map { case (v, pos) => (qid, pos, v) } }
+      .toSeq.toDF("qid", "pos", "val")
+  }
+
+  /** DuckDB SQL computing exact 1-NN distances per query by brute force
+    * over the exploded tables (`series`, `queries`), loaded with the Spark
+    * column types (BIGINT / INTEGER / DOUBLE).
+    */
+  val BruteForceNnSql: String =
+    """SELECT qid, MIN(dist) AS nndist FROM (
+      |  SELECT q.qid AS qid, s.id AS id,
+      |         SQRT(SUM(POWER(s.val - q.val, 2))) AS dist
+      |  FROM series s JOIN queries q ON s.pos = q.pos
+      |  GROUP BY q.qid, s.id
+      |) d GROUP BY qid""".stripMargin
 }

@@ -8,7 +8,7 @@ import repro.experiments.Experiments
 class Fig18KnnBench extends BenchTables {
   test("Fig. 18: 10-NN costs more than 1-NN; node scaling still helps") {
     val t10 = show(Experiments.fig18Knn(spark, k = 10))
-    val t1 = BenchTables.knn1
+    val t1 = show(BenchTables.knn1)
     val full10 = cell(t10, "FULL", "8 nodes")
     val full1 = cell(t1, "FULL", "8 nodes")
     assert(full10 >= full1, s"10-NN($full10) should cost at least 1-NN($full1)")

@@ -86,11 +86,15 @@ class StealSimSpec extends AnyFunSuite {
   }
 
   test("simulation is deterministic for a fixed seed") {
-    val works = (0 until 10).map(q => q -> work(q, 8, 50000000L * (1 + q % 3))).toMap
+    // the rescue scenario's works, so the seeded victim choice is exercised
+    val works = (0 until 8).map { q =>
+      q -> work(q, if (q == 0) 256 else 8, if (q == 0) 25000000L else 2000000L)
+    }.toMap
     val a = StealSim.simulate(4, works, works.keys.toSeq.sorted, PredictDn,
                               q => works(q).pqOpsTotal.toDouble, steal = true, seed = 5)
     val b = StealSim.simulate(4, works, works.keys.toSeq.sorted, PredictDn,
                               q => works(q).pqOpsTotal.toDouble, steal = true, seed = 5)
+    assert(a.nSteals > 0)
     assert(a == b)
   }
 

@@ -22,9 +22,9 @@ class DistributedSearchSpec extends SparkSpec {
       val answersDf = answers.toSeq.map { case (qid, topk) => (qid, topk.head._1) }
         .toDF("qid", "nndist")
       Oracle.assertEquivalent(
-        answersDf, SeriesFrame.BruteForceNnSql,
-        "series"  -> SeriesFrame.explodedSeries(spark, spec),
-        "queries" -> SeriesFrame.explodedQueries(spark, queries))
+        answersDf, Oracle.BruteForceNnSql,
+        "series"  -> Oracle.explodedSeries(spark, spec),
+        "queries" -> Oracle.explodedQueries(spark, queries))
     }
   }
 
