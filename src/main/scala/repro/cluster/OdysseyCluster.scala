@@ -1,5 +1,6 @@
 package repro.cluster
 
+import scala.collection.mutable
 import org.apache.spark.sql.SparkSession
 import repro.core.SeriesGen
 import repro.core.SeriesGen.DatasetSpec
@@ -66,15 +67,18 @@ final case class RunResult(
 object OdysseyCluster {
 
   /** Run the five-stage pipeline for one configuration over its own build. */
-  def run(spark: SparkSession, spec: DatasetSpec, queries: Array[Array[Double]],
-          cfg: ClusterConfig,
+  def run(spark: SparkSession, spec: DatasetSpec, queries: Array[Array[Double]], cfg: ClusterConfig,
           predictor: Option[Prediction.LinearModel] = None): RunResult =
-    withIndexes(spark, spec, cfg)(run(_, queries, cfg, predictor))
+    withIndexes(spark, spec, cfg)(run(_, queries, Seq(cfg), predictor).head)
 
-  /** The Spark measurement, then its driver-side simulation, over `indexes`. */
-  def run(indexes: ChunkIndexes, queries: Array[Array[Double]], cfg: ClusterConfig,
-          predictor: Option[Prediction.LinearModel]): RunResult =
-    simulate(measure(indexes, queries, cfg), cfg, predictor)
+  /** Every config of a grid over `indexes`, in order, each distinct [[measurement]] measured once. */
+  def run(indexes: ChunkIndexes, queries: Array[Array[Double]], cfgs: Seq[ClusterConfig],
+          predictor: Option[Prediction.LinearModel]): Seq[RunResult] = {
+    cfgs.foreach(checkHandle(indexes, _))
+    val measured = mutable.Map.empty[(SearchParams, Boolean), Seq[ChunkReport]]
+    cfgs.map(cfg => simulate(measured.getOrElseUpdate(measurement(cfg), measure(indexes, queries, cfg)),
+                             cfg, predictor))
+  }
 
   /** Lend `use` the chunk indexes of `spec` under `cfg`'s chunking and index config. */
   def withIndexes[T](spark: SparkSession, spec: DatasetSpec, cfg: ClusterConfig)(use: ChunkIndexes => T): T = {
@@ -87,29 +91,45 @@ object OdysseyCluster {
     * and more than one group to share across, an approximate-only job first
     * yields each query's best initial BSF, which the exact search on every
     * chunk then starts from. No scheduling or stealing happens here: the
-    * reports depend on `cfg.k`, `partitioner`, `bsfShare`, `params` and
-    * `indexConfig` only, so configs agreeing on those share one measurement.
+    * reports depend on the handle (chunking and index config) and on
+    * [[measurement]] only.
     */
   def measure(indexes: ChunkIndexes, queries: Array[Array[Double]],
               cfg: ClusterConfig): Seq[ChunkReport] = {
-    val nChunks = cfg.layout.nChunks
-    require(nChunks == indexes.nChunks && cfg.indexConfig == indexes.indexConfig,
-      s"config: $nChunks chunks, ${cfg.indexConfig}; indexes: ${indexes.nChunks} chunks, ${indexes.indexConfig}")
-    val bounds =
-      if (cfg.bsfShare && nChunks > 1) DistributedSearch.approxBounds(indexes, queries, cfg.params)
-      else Map.empty[Int, Double]
-    DistributedSearch.answer(indexes, queries, cfg.params, bounds)
+    checkHandle(indexes, cfg)
+    val (params, shareBsf) = measurement(cfg)
+    val bounds = if (shareBsf) DistributedSearch.approxBounds(indexes, queries, params) else Map.empty[Int, Double]
+    DistributedSearch.answer(indexes, queries, params, bounds)
   }
+
+  /** What [[measure]] reads of a config besides its handle: params, and whether BSF sharing runs. */
+  private def measurement(cfg: ClusterConfig): (SearchParams, Boolean) =
+    (cfg.params, cfg.bsfShare && cfg.layout.nChunks > 1)
+
+  private def checkHandle(indexes: ChunkIndexes, cfg: ClusterConfig): Unit =
+    require(cfg.layout.nChunks == indexes.nChunks && cfg.indexConfig == indexes.indexConfig,
+      s"config: ${cfg.layout.nChunks} chunks, ${cfg.indexConfig}; " +
+        s"indexes: ${indexes.nChunks} chunks, ${indexes.indexConfig}")
+
+  /** [[measure]] over a batch's first `m` queries, cut from the whole batch's
+    * reports: each row and each shared initial BSF depends on its own query
+    * only, and `SeriesGen.queries(spec, m)` is the first `m` of a larger batch.
+    */
+  def firstQueries(reports: Seq[ChunkReport], m: Int): Seq[ChunkReport] =
+    reports.map(r => r.copy(queries = r.queries.take(m)))
 
   /** Stages 3 and 5 and the timing, on the driver, from measured reports: a
     * pure function that runs no Spark job. It reads `cfg.layout`, `scheduler`,
     * `steal` and `params.k`; `reports` must
     * come from [[measure]] under a config that agrees with `cfg` on what
-    * `measure` reads. With a PREDICT-* scheduler and no `predictor`, every
-    * estimate is 1.0.
+    * `measure` reads; it refuses no reports, or a chunk outside `cfg.layout`.
+    * With a PREDICT-* scheduler and no `predictor`, every estimate is 1.0.
     */
   def simulate(reports: Seq[ChunkReport], cfg: ClusterConfig,
                predictor: Option[Prediction.LinearModel] = None): RunResult = {
+    val chunks = reports.map(_.build.chunk)
+    require(chunks.nonEmpty && chunks.forall(c => c >= 0 && c < cfg.layout.nChunks),
+      s"reports of chunks [${chunks.mkString(", ")}]; config: ${cfg.layout.nChunks} chunks")
     val degree = cfg.layout.degree
     val qids = reports.head.queries.map(_.qid)
     // Stage 3: schedule and steal inside each replication group.

@@ -53,6 +53,11 @@ object Experiments {
   /** FULL replication: one chunk, whatever the node count. */
   private def full(nNodes: Int = 1) = ClusterConfig(nNodes, 1, rs, indexConfig = ic)
 
+  /** One build of `spec` in `k` chunks over `nNodes` nodes, answering no query. */
+  private def built(spark: SparkSession, spec: DatasetSpec, nNodes: Int, k: Int): RunResult =
+    OdysseyCluster.run(spark, spec, Array.empty[Array[Double]],
+                       ClusterConfig(nNodes, k, rs, bsfShare = false, indexConfig = ic))
+
   private def predictor(full: ChunkIndexes) =
     OdysseyCluster.fitPredictor(OdysseyCluster.trainingRows(full, NTrain, SearchParams()))
 
@@ -94,14 +99,12 @@ object Experiments {
     val queries = SeriesGen.queries(spec, s.nQueries)
     val factors = Seq(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
     // the TH training pass and every factor run share one FULL build
-    val (fit, rows) = OdysseyCluster.withIndexes(spark, spec, full()) { indexes =>
+    val (fit, results) = OdysseyCluster.withIndexes(spark, spec, full()) { indexes =>
       val fit = OdysseyCluster.trainThreshold(indexes, NTrain)
-      (fit, factors.map { factor =>
-        val cfg = full().copy(scheduler = Static, steal = false,
-                              params = SearchParams(thresholdFit = Some((fit, factor))))
-        Seq(factor.toInt.toString, f(OdysseyCluster.run(indexes, queries, cfg, None).querySecs))
-      })
+      (fit, OdysseyCluster.run(indexes, queries, factors.map(factor => full().copy(
+        scheduler = Static, steal = false, params = SearchParams(thresholdFit = Some((fit, factor))))), None))
     }
+    val rows = factors.zip(results).map { case (factor, r) => Seq(factor.toInt.toString, f(r.querySecs)) }
     val fitTable = Table("Fig. 6a: sigmoid fit of median PQ size vs initial BSF (Seismic)",
       Seq("m", "M", "b", "c", "d"),
       Seq(Seq(f(fit.m), f(fit.M), f(fit.b), f(fit.c), f(fit.d))))
@@ -120,18 +123,13 @@ object Experiments {
       ("PREDICT-ST-UNSORTED", PredictStUnsorted, false), ("PREDICT-ST", PredictSt, false),
       ("PREDICT-DN", PredictDn, false),
       ("WORK-STEAL", Dynamic, true), ("WORK-STEAL-PREDICT", PredictDn, true))
-    // FULL replication: one chunk whatever the node count, so every config
-    // simulates the same measurement, over the predictor's build
+    // FULL: one chunk at every node count, so the grid runs over the predictor's build
     val base = full().copy(params = sp)
-    val (pred, reports) = OdysseyCluster.withIndexes(spark, spec, base)(
-      indexes => (predictor(indexes), OdysseyCluster.measure(indexes, queries, base)))
-    val rows = algos.map { case (name, kind, steal) =>
-      val times = nodes.map { nn =>
-        val cfg = base.copy(nNodes = nn, scheduler = kind, steal = steal)
-        f(OdysseyCluster.simulate(reports, cfg, Some(pred)).querySecs)
-      }
-      name +: times
-    }
+    val cfgs = for ((_, kind, steal) <- algos; nn <- nodes)
+      yield base.copy(nNodes = nn, scheduler = kind, steal = steal)
+    val secs = OdysseyCluster.withIndexes(spark, spec, base)(
+      indexes => OdysseyCluster.run(indexes, queries, cfgs, Some(predictor(indexes)))).map(r => f(r.querySecs))
+    val rows = algos.map(_._1).zip(secs.grouped(nodes.size)).map { case (name, times) => name +: times }
     Table("Fig. 10: scheduling algorithms, Seismic, FULL replication (query secs)",
           "algorithm" +: nodes.map(n => s"$n nodes"), rows)
   }
@@ -143,13 +141,13 @@ object Experiments {
     val spec = SeriesGen.presets.random(s.n)
     val rows = for ((name, k) <- Seq(("FULL", 1), ("PARTIAL-2", 2), ("PARTIAL-4", 4))) yield {
       val cfg = ClusterConfig(k, k, rs, scheduler = Dynamic, steal = true, params = sp, indexConfig = ic)
-      // k chunks at every node count: one build per row
-      val times = OdysseyCluster.withIndexes(spark, spec, cfg)(indexes => Seq(1, 2, 4, 8).map { j =>
+      // k chunks at every node count: one measurement of the largest batch per row
+      val reports = OdysseyCluster.withIndexes(spark, spec, cfg)(
+        OdysseyCluster.measure(_, SeriesGen.queries(spec, q0 * 8), cfg))
+      name +: Seq(1, 2, 4, 8).map { j =>
         if (k > j) "-"
-        else f(OdysseyCluster.run(indexes, SeriesGen.queries(spec, q0 * j), cfg.copy(nNodes = j), None)
-                 .querySecs)
-      })
-      name +: times
+        else f(OdysseyCluster.simulate(OdysseyCluster.firstQueries(reports, q0 * j), cfg.copy(nNodes = j)).querySecs)
+      }
     }
     Table(s"Fig. 11: WORK-STEAL, j nodes answering j*$q0 queries (Random, query secs)",
           "strategy" +: Seq(1, 2, 4, 8).map(j => s"$j nodes/${j * q0}q"), rows)
@@ -180,10 +178,9 @@ object Experiments {
     val spec = SeriesGen.presets.random(s.n)
     val queries = SeriesGen.queries(spec, s.nQueries)
     val base = full().copy(scheduler = Dynamic, params = sp)
-    val reports = OdysseyCluster.withIndexes(spark, spec, base)(OdysseyCluster.measure(_, queries, base))
-    val rows = Seq(1, 2, 4, 8, 16).map { nn =>
-      val t = OdysseyCluster.simulate(reports, base.copy(nNodes = nn)).querySecs
-      Seq(nn.toString, f(t), f(queries.length / t))
+    val cfgs = Seq(1, 2, 4, 8, 16).map(nn => base.copy(nNodes = nn))
+    val rows = OdysseyCluster.withIndexes(spark, spec, base)(OdysseyCluster.run(_, queries, cfgs, None)).map { r =>
+      Seq(r.config.nNodes.toString, f(r.querySecs), f(queries.length / r.querySecs))
     }
     Table("Fig. 13: WORK-STEAL throughput (Random, FULL)",
           Seq("nodes", "query secs", "queries/sec"), rows)
@@ -195,13 +192,7 @@ object Experiments {
     val header = "dataset" +: Seq(1, 2, 4, 8).map(k => Layout(8, k).name) :+ "raw data"
     val rows = SeriesGen.presets.all.map { name =>
       val spec = SeriesGen.presets.byName(name, s.n)
-      val queries = SeriesGen.queries(spec, 1)
-      val sizes = Seq(1, 2, 4, 8).map { k =>
-        val cfg = ClusterConfig(8, k, rs, scheduler = Static, steal = false,
-                                bsfShare = false, indexConfig = ic)
-        val res = OdysseyCluster.run(spark, spec, queries, cfg)
-        f"${res.indexBytes / 1e6}%.2f MB"
-      }
+      val sizes = Seq(1, 2, 4, 8).map(k => f"${built(spark, spec, 8, k).indexBytes / 1e6}%.2f MB")
       name +: sizes :+ f"${spec.sizeBytes / 1e6}%.2f MB"
     }
     Table("Fig. 14: total index size, 8 nodes", header, rows)
@@ -216,11 +207,14 @@ object Experiments {
     val spec = SeriesGen.presets.seismic(s.n)
     def cfg(k: Int) = ClusterConfig(8, k, rs, scheduler = PredictDn, steal = true,
                                     params = sp, indexConfig = ic)
-    // one build per k, every batch size over it; the predictor trains on FULL's
+    // one build per k, every batch size cut from one measurement of the
+    // largest; the predictor trains on FULL's build
     val m = OdysseyCluster.withIndexes(spark, spec, cfg(1)) { fullIndexes =>
       val pred = Some(predictor(fullIndexes))
-      def results(indexes: ChunkIndexes, k: Int) = queryCounts.map { nq =>
-        (k, nq) -> OdysseyCluster.run(indexes, SeriesGen.queries(spec, nq), cfg(k), pred)
+      def results(indexes: ChunkIndexes, k: Int) = {
+        val reports = OdysseyCluster.measure(indexes, SeriesGen.queries(spec, queryCounts.max), cfg(k))
+        queryCounts.map(nq =>
+          (k, nq) -> OdysseyCluster.simulate(OdysseyCluster.firstQueries(reports, nq), cfg(k), pred))
       }
       Seq(8, 4, 2).flatMap(k => OdysseyCluster.withIndexes(spark, spec, cfg(k))(results(_, k))) ++
         results(fullIndexes, 1)
@@ -255,31 +249,19 @@ object Experiments {
   /** Index-build scalability: size sweep, node sweep, joint sweep. */
   def fig17IndexScalability(spark: SparkSession): (Table, Table, Table) = {
     val sizes = Seq(2048, 4096, 8192, 16384)
+    def row(label: Int, r: RunResult) = Seq(label.toString, f(r.bufferSecs), f(r.treeSecs), f(r.indexSecs))
     val a = Table("Fig. 17a: index secs vs dataset size (Deep, EQUALLY-SPLIT, 16 nodes)",
       Seq("n series", "buffer secs", "tree secs", "index secs"),
-      sizes.map { n =>
-        val spec = SeriesGen.presets.deep(n)
-        val cfg = ClusterConfig(16, 16, rs, scheduler = Static, steal = false,
-                                bsfShare = false, indexConfig = ic)
-        val r = OdysseyCluster.run(spark, spec, SeriesGen.queries(spec, 1), cfg)
-        Seq(n.toString, f(r.bufferSecs), f(r.treeSecs), f(r.indexSecs))
-      })
+      sizes.map(n => row(n, built(spark, SeriesGen.presets.deep(n), 16, 16))))
     val spec16 = SeriesGen.presets.deep(16384)
     val b = Table("Fig. 17b: index secs vs node count (Deep n=16384, EQUALLY-SPLIT)",
       Seq("nodes", "buffer secs", "tree secs", "index secs"),
-      Seq(1, 2, 4, 8, 16).map { nn =>
-        val cfg = ClusterConfig(nn, nn, rs, scheduler = Static, steal = false,
-                                bsfShare = false, indexConfig = ic)
-        val r = OdysseyCluster.run(spark, spec16, SeriesGen.queries(spec16, 1), cfg)
-        Seq(nn.toString, f(r.bufferSecs), f(r.treeSecs), f(r.indexSecs))
-      })
-    val c = Table("Fig. 17c: joint scaling — n and nodes grow together (Random, EQUALLY-SPLIT)",
+      Seq(1, 2, 4, 8, 16).map(nn => row(nn, built(spark, spec16, nn, nn))))
+    val c = Table("Fig. 17c: joint scaling - n and nodes grow together (Random, EQUALLY-SPLIT)",
       Seq("nodes", "n series", "buffer secs", "tree secs"),
       Seq(1, 2, 4, 8).map { j =>
         val spec = SeriesGen.presets.random(2048 * j)
-        val cfg = ClusterConfig(j, j, rs, scheduler = Static, steal = false,
-                                bsfShare = false, indexConfig = ic)
-        val r = OdysseyCluster.run(spark, spec, SeriesGen.queries(spec, 1), cfg)
+        val r = built(spark, spec, j, j)
         Seq(j.toString, spec.n.toString, f(r.bufferSecs), f(r.treeSecs))
       })
     (a, b, c)
@@ -294,13 +276,13 @@ object Experiments {
                     "ODYSSEY EQUALLY-SPLIT-RS", "ODYSSEY DENSITY-AWARE", "ODYSSEY FULL (WS-PREDICT)")
     val cols = OdysseyCluster.withIndexes(spark, spec, full()) { fullIndexes =>
       val pred = Some(predictor(fullIndexes))
-      def secs(indexes: ChunkIndexes, cfg: ClusterConfig): String =
-        f(OdysseyCluster.run(indexes, queries, cfg.copy(params = sp), pred).querySecs)
+      def secs(indexes: ChunkIndexes, cfgs: Seq[ClusterConfig]): Seq[String] =
+        OdysseyCluster.run(indexes, queries, cfgs.map(_.copy(params = sp)), pred).map(r => f(r.querySecs))
       // configs that chunk alike share one build: DMESSI, DMESSI-SW-BSF and ODYSSEY
       // EQUALLY-SPLIT split by EquallySplit(n, nn); FULL shares the predictor's
       def shared(cfgs: ClusterConfig*): Seq[String] =
-        OdysseyCluster.withIndexes(spark, spec, cfgs.head)(indexes => cfgs.map(secs(indexes, _)))
-      nodes.map { nn =>
+        OdysseyCluster.withIndexes(spark, spec, cfgs.head)(secs(_, cfgs))
+      nodes.zip(secs(fullIndexes, nodes.map(full))).map { case (nn, fullSecs) =>
         val Seq(dmessi, swBsf, split) = shared(
           Competitors.dmessi(nn, spec, ic), Competitors.dmessiSwBsf(nn, spec, ic),
           ClusterConfig(nn, nn, k => Partitioning.EquallySplit(spec.n.toLong, k), indexConfig = ic))
@@ -308,7 +290,7 @@ object Experiments {
           shared(ClusterConfig(nn, nn, rs, indexConfig = ic)) ++
           shared(ClusterConfig(nn, nn, k => Partitioning.densityAware(spec, k, ic.w, lambda = 16),
                                indexConfig = ic)) :+
-          secs(fullIndexes, full(nn))
+          fullSecs
       }
     }
     val rows = names.indices.map(i => names(i) +: cols.map(_(i)))
@@ -344,14 +326,12 @@ object Experiments {
     def cfg(nn: Int, k: Int) = ClusterConfig(nn, k, rs, scheduler = Dynamic, steal = true,
                                              params = params.copy(threshold = sp.threshold),
                                              indexConfig = ic)
-    // every (node count, chunk count) cell; the node count only enters the
-    // simulation, so cells with equal chunk counts share one measurement
-    val cells = (for ((_, chunks) <- strategies; nn <- nodeCounts) yield (nn, chunks(nn))).distinct
-    val secs = cells.groupBy(_._2).flatMap { case (k, group) =>
-      val chunked = cfg(k, k)
-      val reports = OdysseyCluster.withIndexes(spark, spec, chunked)(OdysseyCluster.measure(_, queries, chunked))
-      group.map(cell => cell -> f(OdysseyCluster.simulate(reports, cfg(cell._1, k)).querySecs))
-    }
+    // every (node count, chunk count) cell, one build per chunk count
+    val cfgs = for ((_, chunks) <- strategies; nn <- nodeCounts) yield cfg(nn, chunks(nn))
+    val secs = cfgs.groupBy(_.k).values.flatMap { group =>
+      OdysseyCluster.withIndexes(spark, spec, group.head)(OdysseyCluster.run(_, queries, group, None))
+        .map(r => (r.config.nNodes, r.config.k) -> f(r.querySecs))
+    }.toMap
     val rows = strategies.map { case (name, chunks) => name +: nodeCounts.map(nn => secs((nn, chunks(nn)))) }
     Table(title, "strategy" +: nodeCounts.map(n => s"$n nodes"), rows)
   }

@@ -12,16 +12,15 @@ import repro.index.{BuildStats, IndexConfig, IsaxIndex, PqStat, QueryCtx, QueryR
   * queues, in processed order, as `Search.exact` recorded them.
   */
 final case class QueryStatRow(
-    chunk: Int, qid: Int,
-    topKDists: Seq[Double], topKIds: Seq[Long],
+    qid: Int, topKDists: Seq[Double], topKIds: Seq[Long],
     approxBsf: Double, approxOps: Long,
     batchOps: Seq[Long], tasks: Seq[PqStat],
     totalOps: Long, nRealDists: Long)
 
 object QueryStatRow {
   /** The row of one chunk's exact search for query `qid`. */
-  def of(chunk: Int, qid: Int, run: QueryRun): QueryStatRow =
-    QueryStatRow(chunk, qid,
+  def of(qid: Int, run: QueryRun): QueryStatRow =
+    QueryStatRow(qid,
       topKDists = run.topK.map(_._1), topKIds = run.topK.map(_._2),
       approxBsf = run.approxBsf, approxOps = run.approxOps,
       batchOps = run.batchOps.toSeq,
@@ -127,7 +126,7 @@ object DistributedSearch {
     val qs = queries
     val reports = indexes.rdd.map { index =>
       val queryRows = qs.indices.map { qid =>
-        QueryStatRow.of(index.chunk, qid, Search.exact(index, qs(qid), params,
+        QueryStatRow.of(qid, Search.exact(index, qs(qid), params,
           startBound = startBounds.getOrElse(qid, Double.PositiveInfinity)))
       }
       ChunkReport(index.buildStats, queryRows)

@@ -10,6 +10,7 @@ import repro.core.SeriesGen
 import repro.core.SeriesGen.presets
 import repro.index.{IndexConfig, Search, SearchParams}
 import repro.spark.DistributedSearch
+import repro.spark.DistributedSearch.ChunkIndexes
 
 class OdysseyClusterSpec extends SparkSpec {
 
@@ -192,9 +193,11 @@ class OdysseyClusterSpec extends SparkSpec {
 
   test("a handle refuses a config of another chunk count or index config before any stage") {
     val cfg = ClusterConfig(4, 2, eqSplit)
-    for (other <- Seq(cfg.copy(k = 4), cfg.copy(k = 1), cfg.copy(indexConfig = IndexConfig(leafCapacity = 32)))) {
-      val (ran, e) = seen(intercept[IllegalArgumentException](
-        OdysseyCluster.withIndexes(spark, spec, cfg)(OdysseyCluster.measure(_, queries, other))))
+    for (other <- Seq(cfg.copy(k = 4), cfg.copy(k = 1), cfg.copy(indexConfig = IndexConfig(leafCapacity = 32)));
+         body <- Seq[ChunkIndexes => Any](OdysseyCluster.measure(_, queries, other),
+                                          // anywhere in a grid, also after a config the handle fits
+                                          OdysseyCluster.run(_, queries, Seq(cfg, other), None))) {
+      val (ran, e) = seen(intercept[IllegalArgumentException](OdysseyCluster.withIndexes(spark, spec, cfg)(body)))
       assert(e.getMessage.contains("indexes: 2 chunks"), e.getMessage)
       assert(ran.stageTasks.isEmpty, "a Spark job ran")
       assert(spark.sparkContext.getPersistentRDDs.isEmpty)
@@ -235,6 +238,61 @@ class OdysseyClusterSpec extends SparkSpec {
       run.querySecs
     }
     assert(secs.distinct.size > 1, "every config simulated to the same time")
+  }
+
+  test("the grid form runs the Fig. 10 grid over one measurement's single stage") {
+    val cfgs = for (nn <- Seq(1, 2, 4, 8, 16); (sched, steal) <- fig10Algorithms)
+      yield fig10Base.copy(nNodes = nn, scheduler = sched, steal = steal)
+    val reports = fig10Reports // measured before the listener starts, as is the model
+    val model = Some(fig10Predictor)
+    val (ran, results) = seen(OdysseyCluster.withIndexes(spark, fig10Spec, fig10Base)(
+      OdysseyCluster.run(_, fig10Queries, cfgs, model)))
+    assert(ran.stageTasks == Seq(1), "FULL: one exact job of one chunk task")
+    assert(results == cfgs.map(OdysseyCluster.simulate(reports, _, model)))
+  }
+
+  test("the grid form equals measure then simulate per config, measuring each measurement once") {
+    val grid = for (share <- Seq(true, false); params <- Seq(SearchParams(), SearchParams(threshold = 16));
+                    (sched, steal) <- Seq(Static -> false, PredictDn -> true); nn <- Seq(2, 4))
+      yield ClusterConfig(nn, 2, eqSplit, sched, steal, share, params)
+    OdysseyCluster.withIndexes(spark, spec, grid.head) { indexes =>
+      val expected =
+        grid.map(c => OdysseyCluster.simulate(OdysseyCluster.measure(indexes, queries, c), c, Some(predictor)))
+      val (ran, results) = seen(OdysseyCluster.run(indexes, queries, grid, Some(predictor)))
+      assert(results == expected)
+      // four measurements: two sharing ones of a bound and an exact job, two of an exact job
+      assert(ran.stageTasks == Seq.fill(6)(2))
+    }
+  }
+
+  test("the first m rows of a 2m-query measurement simulate exactly as a run of m queries") {
+    val cfg = ClusterConfig(8, 4, eqSplit, PredictDn, steal = true, bsfShare = true,
+                            params = SearchParams(threshold = 16))
+    val reports = OdysseyCluster.withIndexes(spark, spec, cfg)(OdysseyCluster.measure(_, queries, cfg))
+    for (m <- Seq(1, queries.length / 2)) {
+      val batch = SeriesGen.queries(spec, m)
+      assert(batch.toSeq.map(_.toSeq) == queries.take(m).toSeq.map(_.toSeq))
+      val cut = OdysseyCluster.simulate(OdysseyCluster.firstQueries(reports, m), cfg, Some(predictor))
+      assert(cut == OdysseyCluster.run(spark, spec, batch, cfg, Some(predictor)), s"m=$m")
+    }
+  }
+
+  test("an empty batch gives every chunk's build stats, no answers and no query time") {
+    val cfg = ClusterConfig(8, 4, eqSplit)
+    val res = OdysseyCluster.run(spark, spec, Array.empty[Array[Double]], cfg)
+    assert(res.buildStats == OdysseyCluster.run(spark, spec, queries.take(1), cfg).buildStats)
+    assert(res.buildStats.map(_.chunk) == (0 until 4))
+    assert(res.answers.isEmpty && res.reports.forall(_.queries.isEmpty))
+    assert(res.querySecs == 0.0 && res.indexSecs > 0)
+  }
+
+  test("simulate refuses no reports, and reports of a chunk outside the config's layout") {
+    val split = ClusterConfig(4, 4, eqSplit)
+    val reports = OdysseyCluster.withIndexes(spark, spec, split)(OdysseyCluster.measure(_, queries.take(2), split))
+    val e = intercept[IllegalArgumentException](OdysseyCluster.simulate(reports, ClusterConfig(4, 2, eqSplit)))
+    assert(e.getMessage.contains("chunks [0, 1, 2, 3]") && e.getMessage.contains("config: 2 chunks"), e.getMessage)
+    val none = intercept[IllegalArgumentException](OdysseyCluster.simulate(Nil, split))
+    assert(none.getMessage.contains("chunks []") && none.getMessage.contains("config: 4 chunks"), none.getMessage)
   }
 
   test("simulate is pure: the same reports give equal results and run no Spark stage") {

@@ -39,7 +39,7 @@ class SimulatorHashSpec extends AnyFunSuite {
       val ids = (0L until n.toLong).filter(part.chunkOf(_) == chunk).toArray
       val index = IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), indexConfig, new Cost)
       ChunkReport(index.buildStats,
-                  queries.indices.map(q => QueryStatRow.of(chunk, q, Search.exact(index, queries(q), params))))
+                  queries.indices.map(q => QueryStatRow.of(q, Search.exact(index, queries(q), params))))
     }
 
   private final class Hash {

@@ -107,7 +107,7 @@ class DistributedSearchSpec extends SparkSpec {
         val ids = (0L until n.toLong).filter(id => part.chunkOf(id) == chunk).toArray
         val index = IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), IndexConfig(), new Cost)
         assert(rep.build == index.buildStats)
-        assert(rep.queries == queries.indices.map(q => QueryStatRow.of(chunk, q, Search.exact(index, queries(q), params))))
+        assert(rep.queries == queries.indices.map(q => QueryStatRow.of(q, Search.exact(index, queries(q), params))))
       }
     }
   }
