@@ -32,6 +32,14 @@ final case class ClusterConfig(
     indexConfig: IndexConfig = IndexConfig()) {
   val layout: Layout = Layout(nNodes, k)
 
+  /** `partitioner(layout.nChunks)`; lazy: DENSITY-AWARE and DPiSAX read the whole collection. */
+  lazy val chunking: Partitioner = {
+    val part = partitioner(layout.nChunks)
+    require(part.nChunks == layout.nChunks,
+      s"partitioner ${part.name} has ${part.nChunks} chunks; layout ${layout.name} needs ${layout.nChunks}")
+    part
+  }
+
   /** Worker threads per node: fixed by the cost model. */
   def threads: Int = CostModel.ThreadsPerNode
 
@@ -69,7 +77,19 @@ object OdysseyCluster {
   /** Run the five-stage pipeline for one configuration over its own build. */
   def run(spark: SparkSession, spec: DatasetSpec, queries: Array[Array[Double]], cfg: ClusterConfig,
           predictor: Option[Prediction.LinearModel] = None): RunResult =
-    withIndexes(spark, spec, cfg)(run(_, queries, Seq(cfg), predictor).head)
+    run(spark, spec, queries, Seq(cfg), predictor).head
+
+  /** Every config of a grid, in order, over one handle per distinct (`chunking`,
+    * `indexConfig`), opened one at a time in order of first appearance.
+    */
+  def run(spark: SparkSession, spec: DatasetSpec, queries: Array[Array[Double]], cfgs: Seq[ClusterConfig],
+          predictor: Option[Prediction.LinearModel]): Seq[RunResult] = {
+    val builds = cfgs.map(cfg => (cfg.chunking, cfg.indexConfig))
+    builds.distinct.flatMap { build =>
+      val at = cfgs.indices.filter(builds(_) == build)
+      at.zip(withIndexes(spark, spec, cfgs(at.head))(run(_, queries, at.map(cfgs), predictor)))
+    }.sortBy(_._1).map(_._2)
+  }
 
   /** Every config of a grid over `indexes`, in order, each distinct [[measurement]] measured once. */
   def run(indexes: ChunkIndexes, queries: Array[Array[Double]], cfgs: Seq[ClusterConfig],
@@ -81,10 +101,8 @@ object OdysseyCluster {
   }
 
   /** Lend `use` the chunk indexes of `spec` under `cfg`'s chunking and index config. */
-  def withIndexes[T](spark: SparkSession, spec: DatasetSpec, cfg: ClusterConfig)(use: ChunkIndexes => T): T = {
-    val part = cfg.partitioner(cfg.layout.nChunks)
-    DistributedSearch.withIndexes(spark, spec, part.chunkOf _, part.nChunks, cfg.indexConfig)(use)
-  }
+  def withIndexes[T](spark: SparkSession, spec: DatasetSpec, cfg: ClusterConfig)(use: ChunkIndexes => T): T =
+    DistributedSearch.withIndexes(spark, spec, cfg.chunking, cfg.indexConfig)(use)
 
   /** Stages 1-2-4 (Spark): every query answered exactly on every chunk index,
     * opened with `cfg`'s chunking and index config. With the BSF channel on
@@ -106,10 +124,11 @@ object OdysseyCluster {
   private def measurement(cfg: ClusterConfig): (SearchParams, Boolean) =
     (cfg.params, cfg.bsfShare && cfg.layout.nChunks > 1)
 
-  private def checkHandle(indexes: ChunkIndexes, cfg: ClusterConfig): Unit =
-    require(cfg.layout.nChunks == indexes.nChunks && cfg.indexConfig == indexes.indexConfig,
-      s"config: ${cfg.layout.nChunks} chunks, ${cfg.indexConfig}; " +
-        s"indexes: ${indexes.nChunks} chunks, ${indexes.indexConfig}")
+  private def checkHandle(indexes: ChunkIndexes, cfg: ClusterConfig): Unit = {
+    def named(p: Partitioner, ic: IndexConfig) = s"${p.nChunks} chunks by ${p.name}, $ic" // not a Table's map
+    require(cfg.chunking == indexes.chunking && cfg.indexConfig == indexes.indexConfig,
+      s"config: ${named(cfg.chunking, cfg.indexConfig)}; indexes: ${named(indexes.chunking, indexes.indexConfig)}")
+  }
 
   /** [[measure]] over a batch's first `m` queries, cut from the whole batch's
     * reports: each row and each shared initial BSF depends on its own query
@@ -160,7 +179,7 @@ object OdysseyCluster {
     * queries answered against a FULL (single-chunk) index of the collection.
     */
   def trainingRows(indexes: ChunkIndexes, nTrain: Int, params: SearchParams): Seq[QueryStatRow] = {
-    require(indexes.nChunks == 1, s"training needs a FULL index, not ${indexes.nChunks} chunks")
+    require(indexes.chunking.nChunks == 1, s"training needs a FULL index, not ${indexes.chunking.nChunks} chunks")
     val queries = SeriesGen.trainingQueries(indexes.spec, nTrain)
     DistributedSearch.answer(indexes, queries, params, Map.empty).head.queries
   }
@@ -182,7 +201,7 @@ object OdysseyCluster {
   def trainPredictor(spark: SparkSession, spec: DatasetSpec, nTrain: Int,
                      params: SearchParams = SearchParams(),
                      indexConfig: IndexConfig = IndexConfig()): Prediction.LinearModel =
-    DistributedSearch.withIndexes(spark, spec, _ => 0, 1, indexConfig)(
+    DistributedSearch.withIndexes(spark, spec, Partitioning.RandomShuffle(1), indexConfig)(
       indexes => fitPredictor(trainingRows(indexes, nTrain, params)))
 
   /** Fit the TH sigmoid (Fig. 6a) on training queries: x = initial BSF,

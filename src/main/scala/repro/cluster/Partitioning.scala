@@ -4,7 +4,8 @@ import scala.collection.mutable
 import repro.core.{Blocks, Gray, ISax, Paa, Rng}
 import repro.core.SeriesGen.DatasetSpec
 
-/** Assignment of series ids to chunks (one chunk per replication group). */
+/** Assignment of series ids to chunks (one chunk per replication group). A value:
+  * two that assign alike are `==` (the ones below are case classes), so one keys a build. */
 trait Partitioner extends Serializable {
   def name: String
   def nChunks: Int

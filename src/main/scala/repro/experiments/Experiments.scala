@@ -53,6 +53,10 @@ object Experiments {
   /** FULL replication: one chunk, whatever the node count. */
   private def full(nNodes: Int = 1) = ClusterConfig(nNodes, 1, rs, indexConfig = ic)
 
+  /** Work stealing under `scheduler`: WORK-STEAL with DYNAMIC, WORK-STEAL-PREDICT with PREDICT-DN. */
+  private def workSteal(nNodes: Int, k: Int, params: SearchParams = sp, scheduler: SchedulerKind = Dynamic) =
+    ClusterConfig(nNodes, k, rs, scheduler, params = params, indexConfig = ic)
+
   /** One build of `spec` in `k` chunks over `nNodes` nodes, answering no query. */
   private def built(spark: SparkSession, spec: DatasetSpec, nNodes: Int, k: Int): RunResult =
     OdysseyCluster.run(spark, spec, Array.empty[Array[Double]],
@@ -140,7 +144,7 @@ object Experiments {
     val q0 = 25
     val spec = SeriesGen.presets.random(s.n)
     val rows = for ((name, k) <- Seq(("FULL", 1), ("PARTIAL-2", 2), ("PARTIAL-4", 4))) yield {
-      val cfg = ClusterConfig(k, k, rs, scheduler = Dynamic, steal = true, params = sp, indexConfig = ic)
+      val cfg = workSteal(k, k)
       // k chunks at every node count: one measurement of the largest batch per row
       val reports = OdysseyCluster.withIndexes(spark, spec, cfg)(
         OdysseyCluster.measure(_, SeriesGen.queries(spec, q0 * 8), cfg))
@@ -157,16 +161,9 @@ object Experiments {
   /** Query time vs dataset size, 8 nodes, per replication strategy. */
   def fig12DataSize(spark: SparkSession, dataset: String = "Random"): Table = {
     val sizes = Seq(1024, 2048, 4096, 8192)
-    val rows = for (k <- Seq(1, 2, 4, 8)) yield {
-      val name = Layout(8, k).name
-      val times = sizes.map { n =>
-        val spec = SeriesGen.presets.byName(dataset, n)
-        val queries = SeriesGen.queries(spec, 25)
-        val cfg = ClusterConfig(8, k, rs, scheduler = Dynamic, steal = true,
-                                params = sp, indexConfig = ic)
-        f(OdysseyCluster.run(spark, spec, queries, cfg).querySecs)
-      }
-      name +: times
+    val rows = for (k <- Seq(1, 2, 4, 8)) yield Layout(8, k).name +: sizes.map { n =>
+      val spec = SeriesGen.presets.byName(dataset, n)
+      f(OdysseyCluster.run(spark, spec, SeriesGen.queries(spec, 25), workSteal(8, k)).querySecs)
     }
     Table(s"Fig. 12: query secs for 25 queries vs dataset size ($dataset, 8 nodes)",
           "strategy" +: sizes.map(n => s"n=$n"), rows)
@@ -177,9 +174,8 @@ object Experiments {
   def fig13Throughput(spark: SparkSession, s: Scale = Scale()): Table = {
     val spec = SeriesGen.presets.random(s.n)
     val queries = SeriesGen.queries(spec, s.nQueries)
-    val base = full().copy(scheduler = Dynamic, params = sp)
-    val cfgs = Seq(1, 2, 4, 8, 16).map(nn => base.copy(nNodes = nn))
-    val rows = OdysseyCluster.withIndexes(spark, spec, base)(OdysseyCluster.run(_, queries, cfgs, None)).map { r =>
+    val cfgs = Seq(1, 2, 4, 8, 16).map(workSteal(_, 1))
+    val rows = OdysseyCluster.run(spark, spec, queries, cfgs, None).map { r =>
       Seq(r.config.nNodes.toString, f(r.querySecs), f(queries.length / r.querySecs))
     }
     Table("Fig. 13: WORK-STEAL throughput (Random, FULL)",
@@ -205,8 +201,7 @@ object Experiments {
   def fig15Replication(spark: SparkSession, s: Scale = Scale()): (Table, Table) = {
     val queryCounts = Seq(5, 25, 100, 200)
     val spec = SeriesGen.presets.seismic(s.n)
-    def cfg(k: Int) = ClusterConfig(8, k, rs, scheduler = PredictDn, steal = true,
-                                    params = sp, indexConfig = ic)
+    def cfg(k: Int) = workSteal(8, k, scheduler = PredictDn)
     // one build per k, every batch size cut from one measurement of the
     // largest; the predictor trains on FULL's build
     val m = OdysseyCluster.withIndexes(spark, spec, cfg(1)) { fullIndexes =>
@@ -233,13 +228,8 @@ object Experiments {
   def fig16RealDatasets(spark: SparkSession, s: Scale = Scale()): Table = {
     val rows = Seq("Astro", "Deep", "Sift", "Yan-TtI").map { name =>
       val spec = SeriesGen.presets.byName(name, s.n)
-      val queries = SeriesGen.queries(spec, 100)
-      val times = Seq(8, 4, 2, 1).map { k =>
-        val cfg = ClusterConfig(8, k, rs, scheduler = Dynamic, steal = true,
-                                params = sp, indexConfig = ic)
-        f(OdysseyCluster.run(spark, spec, queries, cfg).querySecs)
-      }
-      name +: times
+      val cfgs = Seq(8, 4, 2, 1).map(workSteal(8, _))
+      name +: OdysseyCluster.run(spark, spec, SeriesGen.queries(spec, 100), cfgs, None).map(r => f(r.querySecs))
     }
     Table("Fig. 16: query secs by replication, 100 queries, 8 nodes",
           "dataset" +: Seq(8, 4, 2, 1).map(k => Layout(8, k).name), rows)
@@ -272,30 +262,22 @@ object Experiments {
     val nodes = Seq(4, 8)
     val spec = SeriesGen.presets.seismic(s.n)
     val queries = SeriesGen.queries(spec, s.nQueries)
-    val names = Seq("DMESSI", "DMESSI-SW-BSF", "DPISAX", "ODYSSEY EQUALLY-SPLIT",
-                    "ODYSSEY EQUALLY-SPLIT-RS", "ODYSSEY DENSITY-AWARE", "ODYSSEY FULL (WS-PREDICT)")
-    val cols = OdysseyCluster.withIndexes(spark, spec, full()) { fullIndexes =>
+    def odyssey(part: Int => Partitioner): Int => ClusterConfig = nn => ClusterConfig(nn, nn, part, indexConfig = ic)
+    val partitioned = Seq[(String, Int => ClusterConfig)](
+      "DMESSI" -> (Competitors.dmessi(_, spec, ic)), "DMESSI-SW-BSF" -> (Competitors.dmessiSwBsf(_, spec, ic)),
+      "DPISAX" -> (Competitors.dpisax(_, spec, ic)),
+      "ODYSSEY EQUALLY-SPLIT" -> odyssey(k => Partitioning.EquallySplit(spec.n.toLong, k)),
+      "ODYSSEY EQUALLY-SPLIT-RS" -> odyssey(rs),
+      "ODYSSEY DENSITY-AWARE" -> odyssey(k => Partitioning.densityAware(spec, k, ic.w, lambda = 16)))
+    val secs = OdysseyCluster.withIndexes(spark, spec, full()) { fullIndexes =>
       val pred = Some(predictor(fullIndexes))
-      def secs(indexes: ChunkIndexes, cfgs: Seq[ClusterConfig]): Seq[String] =
-        OdysseyCluster.run(indexes, queries, cfgs.map(_.copy(params = sp)), pred).map(r => f(r.querySecs))
-      // configs that chunk alike share one build: DMESSI, DMESSI-SW-BSF and ODYSSEY
-      // EQUALLY-SPLIT split by EquallySplit(n, nn); FULL shares the predictor's
-      def shared(cfgs: ClusterConfig*): Seq[String] =
-        OdysseyCluster.withIndexes(spark, spec, cfgs.head)(secs(_, cfgs))
-      nodes.zip(secs(fullIndexes, nodes.map(full))).map { case (nn, fullSecs) =>
-        val Seq(dmessi, swBsf, split) = shared(
-          Competitors.dmessi(nn, spec, ic), Competitors.dmessiSwBsf(nn, spec, ic),
-          ClusterConfig(nn, nn, k => Partitioning.EquallySplit(spec.n.toLong, k), indexConfig = ic))
-        Seq(dmessi, swBsf) ++ shared(Competitors.dpisax(nn, spec, ic)) ++ Seq(split) ++
-          shared(ClusterConfig(nn, nn, rs, indexConfig = ic)) ++
-          shared(ClusterConfig(nn, nn, k => Partitioning.densityAware(spec, k, ic.w, lambda = 16),
-                               indexConfig = ic)) :+
-          fullSecs
-      }
-    }
-    val rows = names.indices.map(i => names(i) +: cols.map(_(i)))
-    Table("Fig. 17d: query secs vs competitors (Seismic)",
-          "system" +: nodes.map(n => s"$n nodes"), rows)
+      val cfgs = for ((_, cfg) <- partitioned; nn <- nodes) yield cfg(nn).copy(params = sp)
+      OdysseyCluster.run(spark, spec, queries, cfgs, pred) ++
+        OdysseyCluster.run(fullIndexes, queries, nodes.map(full(_).copy(params = sp)), pred)
+    }.map(r => f(r.querySecs))
+    val names = partitioned.map(_._1) :+ "ODYSSEY FULL (WS-PREDICT)"
+    Table("Fig. 17d: query secs vs competitors (Seismic)", "system" +: nodes.map(n => s"$n nodes"),
+          names.zip(secs.grouped(nodes.size)).map { case (name, times) => name +: times })
   }
 
   // ---------------------------------------------------------------- Fig. 18
@@ -323,16 +305,10 @@ object Experiments {
     val nodeCounts = Seq(2, 4, 8)
     val strategies = Seq[(String, Int => Int)](
       ("FULL", _ => 1), ("PARTIAL-2", _ => 2), ("EQUALLY-SPLIT", nn => nn)) // name, chunks at nn nodes
-    def cfg(nn: Int, k: Int) = ClusterConfig(nn, k, rs, scheduler = Dynamic, steal = true,
-                                             params = params.copy(threshold = sp.threshold),
-                                             indexConfig = ic)
-    // every (node count, chunk count) cell, one build per chunk count
-    val cfgs = for ((_, chunks) <- strategies; nn <- nodeCounts) yield cfg(nn, chunks(nn))
-    val secs = cfgs.groupBy(_.k).values.flatMap { group =>
-      OdysseyCluster.withIndexes(spark, spec, group.head)(OdysseyCluster.run(_, queries, group, None))
-        .map(r => (r.config.nNodes, r.config.k) -> f(r.querySecs))
-    }.toMap
-    val rows = strategies.map { case (name, chunks) => name +: nodeCounts.map(nn => secs((nn, chunks(nn)))) }
+    val cfgs = for ((_, chunks) <- strategies; nn <- nodeCounts)
+      yield workSteal(nn, chunks(nn), params.copy(threshold = sp.threshold))
+    val secs = OdysseyCluster.run(spark, spec, queries, cfgs, None).map(r => f(r.querySecs))
+    val rows = strategies.map(_._1).zip(secs.grouped(nodeCounts.size)).map { case (name, times) => name +: times }
     Table(title, "strategy" +: nodeCounts.map(n => s"$n nodes"), rows)
   }
 }

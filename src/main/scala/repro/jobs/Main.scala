@@ -29,16 +29,22 @@ object Main {
     "fig18"    -> ((spark, s) => Seq(Experiments.fig18Knn(spark, s))),
     "fig19"    -> ((spark, s) => Seq(Experiments.fig19Dtw(spark, s))))
 
+  /** The scale of `<exhibit> [nSeries] [nQueries]`: None unless each size given is a positive Int. */
+  def parseScale(args: Seq[String]): Option[Scale] = {
+    def size(i: Int, default: Int) = args.lift(i).fold(Option(default))(_.toIntOption.filter(_ > 0))
+    for (n <- size(1, Scale().n); nQueries <- size(2, Scale().nQueries)) yield Scale(n, nQueries)
+  }
+
   def main(args: Array[String]): Unit = {
     val name = args.headOption.getOrElse("")
-    val exhibit = exhibits.getOrElse(name, {
-      System.err.println(s"unknown exhibit '$name'; usage: repro.jobs.Main <exhibit> [nSeries] [nQueries]\n" +
+    def usage(problem: String): Nothing = {
+      System.err.println(s"$problem; usage: repro.jobs.Main <exhibit> [nSeries] [nQueries]\n" +
                          s"exhibits: ${exhibits.keys.mkString(" ")}")
       sys.exit(2)
-    })
-    val default = Scale()
-    val scale = Scale(n = args.lift(1).map(_.toInt).getOrElse(default.n),
-                      nQueries = args.lift(2).map(_.toInt).getOrElse(default.nQueries))
+    }
+    val exhibit = exhibits.getOrElse(name, usage(s"unknown exhibit '$name'"))
+    val scale = parseScale(args.toSeq).getOrElse(
+      usage(s"nSeries and nQueries must be positive Ints, not '${args.drop(1).mkString(" ")}'"))
     // table1 needs no session, so only the exhibits that use one start it
     lazy val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))

@@ -3,6 +3,7 @@ package repro.spark
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
+import repro.cluster.Partitioner
 import repro.core.{Cost, SeriesGen}
 import repro.core.SeriesGen.DatasetSpec
 import repro.index.{BuildStats, IndexConfig, IsaxIndex, PqStat, QueryCtx, QueryRun, Search, SearchParams}
@@ -45,26 +46,30 @@ object DistributedSearch {
   /** Build every chunk `chunkOf` uses and answer `queries` on its index. */
   def run(spark: SparkSession, spec: DatasetSpec, chunkOf: Long => Int,
           queries: Array[Array[Double]], params: SearchParams,
-          indexConfig: IndexConfig = IndexConfig()): Seq[ChunkReport] =
-    withIndexes(spark, spec, chunkOf, (0L until spec.n).iterator.map(chunkOf).max + 1, indexConfig)(
-      answer(_, queries, params, Map.empty))
+          indexConfig: IndexConfig = IndexConfig()): Seq[ChunkReport] = {
+    val (assign, chunks) = (chunkOf, (0L until spec.n).iterator.map(chunkOf).max + 1)
+    val chunking = new Partitioner { def name = "chunkOf"; def nChunks = chunks; def chunkOf(id: Long) = assign(id) }
+    withIndexes(spark, spec, chunking, indexConfig)(answer(_, queries, params, Map.empty))
+  }
 
   /** The cached chunk indexes of one build; only [[withIndexes]] makes one. */
   final class ChunkIndexes private[DistributedSearch] (private[DistributedSearch] val rdd: RDD[IsaxIndex],
-      val spec: DatasetSpec, val nChunks: Int, val indexConfig: IndexConfig)
+      val spec: DatasetSpec, val chunking: Partitioner, val indexConfig: IndexConfig)
 
-  /** The one build path: check the series length and the chunk assignment on
-    * the driver, hand the chunk indexes to `use`, built by the first job over
-    * them and reused by every later one, and release them afterwards, also
-    * when `use` throws.
+  /** The one build path: check on the driver the series length and that
+    * `chunking` puts every id in a chunk `0 until nChunks`, hand the chunk
+    * indexes to `use`, built by the first job over them and reused by every
+    * later one, and release them afterwards, also when `use` throws.
     */
-  def withIndexes[T](spark: SparkSession, spec: DatasetSpec, chunkOf: Long => Int, nChunks: Int,
+  def withIndexes[T](spark: SparkSession, spec: DatasetSpec, chunking: Partitioner,
                      indexConfig: IndexConfig)(use: ChunkIndexes => T): T = {
     require(spec.length >= indexConfig.w,
       s"series of length ${spec.length} are shorter than the index's w = ${indexConfig.w} segments")
-    checkChunks(spec.n, chunkOf, nChunks)
-    val indexes = new ChunkIndexes(buildIndexes(spark, spec, chunkOf, nChunks, indexConfig),
-                                   spec, nChunks, indexConfig)
+    (0L until spec.n).foreach { id =>
+      val chunk = chunking.chunkOf(id)
+      require(chunk >= 0 && chunk < chunking.nChunks, s"chunk $chunk of ${chunking.nChunks} for series id $id")
+    }
+    val indexes = new ChunkIndexes(buildIndexes(spark, spec, chunking, indexConfig), spec, chunking, indexConfig)
     try use(indexes) finally indexes.rdd.unpersist(blocking = true)
   }
 
@@ -83,22 +88,15 @@ object DistributedSearch {
     * leaf entry order, and so every op count, depends. A chunk that owns no
     * series emits no index.
     */
-  private def buildIndexes(spark: SparkSession, spec: DatasetSpec, chunkOf: Long => Int,
-                           nChunks: Int, indexConfig: IndexConfig): RDD[IsaxIndex] =
-    spark.sparkContext.parallelize(0 until nChunks, nChunks)
+  private def buildIndexes(spark: SparkSession, spec: DatasetSpec, chunking: Partitioner,
+                           indexConfig: IndexConfig): RDD[IsaxIndex] =
+    spark.sparkContext.parallelize(0 until chunking.nChunks, chunking.nChunks)
       .flatMap { chunk =>
-        val ids = Array.range(0, spec.n).filter(chunkOf(_) == chunk).map(_.toLong)
+        val ids = Array.range(0, spec.n).filter(chunking.chunkOf(_) == chunk).map(_.toLong)
         if (ids.isEmpty) Iterator.empty
         else Iterator.single(IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), indexConfig, new Cost))
       }
       .persist(StorageLevel.MEMORY_ONLY)
-
-  /** Every id `0 until n` must map to a chunk `0 until nChunks`; read on the driver. */
-  private def checkChunks(n: Int, chunkOf: Long => Int, nChunks: Int): Unit =
-    (0L until n).foreach { id =>
-      val chunk = chunkOf(id)
-      require(chunk >= 0 && chunk < nChunks, s"chunk $chunk of $nChunks for series id $id")
-    }
 
   /** Each query's best initial BSF over all chunks: the approximate search
     * alone per (chunk, query), then the minimum per qid on the driver.

@@ -69,11 +69,11 @@ class OdysseyClusterSpec extends SparkSpec {
          "RandomShuffle" -> eqSplit, "DPiSAX" -> (c => Dpisax.partition(spec, c, w = 8)))) {
     test(s"one build per run reproduces the LOCAL-then-SHARED two-pass reports ($name)") {
       val cfg = ClusterConfig(8, 4, partitioner, params = SearchParams(threshold = 16))
-      val chunkOf = cfg.partitioner(4).chunkOf _
-      val local = DistributedSearch.run(spark, spec, chunkOf, queries, cfg.params, cfg.indexConfig)
+      val chunking = cfg.chunking
+      val local = DistributedSearch.run(spark, spec, chunking.chunkOf, queries, cfg.params, cfg.indexConfig)
       val bounds = local.flatMap(_.queries).groupBy(_.qid)
         .view.mapValues(_.map(_.approxBsf).min).toMap
-      val shared = DistributedSearch.withIndexes(spark, spec, chunkOf, 4, cfg.indexConfig)(
+      val shared = DistributedSearch.withIndexes(spark, spec, chunking, cfg.indexConfig)(
         DistributedSearch.answer(_, queries, cfg.params, bounds))
       assert(shared != local)
       assert(OdysseyCluster.run(spark, spec, queries, cfg).reports == shared)
@@ -157,7 +157,7 @@ class OdysseyClusterSpec extends SparkSpec {
     assert(cached.isEmpty)
     DistributedSearch.run(spark, spec, chunkOf, queries.take(2), SearchParams())
     assert(cached.isEmpty)
-    val failing = cfg.copy(partitioner = new OdysseyClusterSpec.FailsInTask(_))
+    val failing = cfg.copy(partitioner = OdysseyClusterSpec.FailsInTask(_))
     intercept[SparkException](OdysseyCluster.run(spark, spec, queries.take(2), failing))
     assert(cached.isEmpty)
     intercept[SparkException](
@@ -175,14 +175,14 @@ class OdysseyClusterSpec extends SparkSpec {
 
   test("one handle builds each chunk once, however many jobs run over it") {
     val calls = spark.sparkContext.longAccumulator("chunkOf calls in tasks")
-    val split = ClusterConfig(4, 4, new OdysseyClusterSpec.CountsInTask(_, calls))
+    val split = ClusterConfig(4, 4, OdysseyClusterSpec.CountsInTask(_, calls))
     OdysseyCluster.withIndexes(spark, spec, split) { indexes =>
       for (qs <- Seq(queries.take(3), queries.drop(3)); share <- Seq(true, false))
         OdysseyCluster.measure(indexes, qs, split.copy(bsfShare = share))
     }
     assert(calls.value == n * 4L) // one build task per chunk, each reading every id once
     calls.reset()
-    val full = ClusterConfig(1, 1, new OdysseyClusterSpec.CountsInTask(_, calls))
+    val full = ClusterConfig(1, 1, OdysseyClusterSpec.CountsInTask(_, calls))
     OdysseyCluster.withIndexes(spark, spec, full) { indexes =>
       OdysseyCluster.trainingRows(indexes, 6, SearchParams())
       OdysseyCluster.trainingRows(indexes, 4, SearchParams(threshold = 16))
@@ -193,12 +193,14 @@ class OdysseyClusterSpec extends SparkSpec {
 
   test("a handle refuses a config of another chunk count or index config before any stage") {
     val cfg = ClusterConfig(4, 2, eqSplit)
-    for (other <- Seq(cfg.copy(k = 4), cfg.copy(k = 1), cfg.copy(indexConfig = IndexConfig(leafCapacity = 32)));
+    val split = cfg.copy(partitioner = c => Partitioning.EquallySplit(n.toLong, c))
+    for (other <- Seq(cfg.copy(k = 4), cfg.copy(k = 1), split, cfg.copy(indexConfig = IndexConfig(leafCapacity = 32)));
          body <- Seq[ChunkIndexes => Any](OdysseyCluster.measure(_, queries, other),
                                           // anywhere in a grid, also after a config the handle fits
                                           OdysseyCluster.run(_, queries, Seq(cfg, other), None))) {
       val (ran, e) = seen(intercept[IllegalArgumentException](OdysseyCluster.withIndexes(spark, spec, cfg)(body)))
-      assert(e.getMessage.contains("indexes: 2 chunks"), e.getMessage)
+      assert(e.getMessage.contains("indexes: 2 chunks by EQUALLY-SPLIT-RS, "), e.getMessage)
+      if (other eq split) assert(e.getMessage.contains("config: 2 chunks by EQUALLY-SPLIT, "), e.getMessage)
       assert(ran.stageTasks.isEmpty, "a Spark job ran")
       assert(spark.sparkContext.getPersistentRDDs.isEmpty)
     }
@@ -211,6 +213,25 @@ class OdysseyClusterSpec extends SparkSpec {
       assert(OdysseyCluster.measure(indexes, queries, cfg.copy(nNodes = 8)) ==
                OdysseyCluster.measure(indexes, queries, cfg))
     }
+  }
+
+  test("a partitioner of the wrong chunk count fails before any stage, naming both counts") {
+    val cfg = ClusterConfig(4, 2, _ => Partitioning.RandomShuffle(3))
+    val (ran, e) = seen(intercept[IllegalArgumentException](OdysseyCluster.run(spark, spec, queries, cfg)))
+    assert(e.getMessage.contains("has 3 chunks") && e.getMessage.contains("needs 2"), e.getMessage)
+    assert(ran.stageTasks.isEmpty, "a Spark job ran")
+  }
+
+  test("the Spark grid form builds once per distinct chunking and equals per-config runs") {
+    val calls = spark.sparkContext.longAccumulator("chunkOf calls in tasks")
+    val counted: Int => Partitioner = OdysseyClusterSpec.CountsInTask(_, calls)
+    // chunkings of 1, 2 and 4 chunks, the 2-chunk one (4 nodes, PARTIAL-2) twice
+    val grid = Seq(ClusterConfig(4, 2, counted), ClusterConfig(4, 4, counted, steal = false),
+                   ClusterConfig(2, 1, counted, bsfShare = false), ClusterConfig(4, 2, counted, Static))
+    val expected = grid.map(OdysseyCluster.run(spark, spec, queries, _))
+    calls.reset()
+    assert(OdysseyCluster.run(spark, spec, queries, grid, None) == expected)
+    assert(calls.value == n * (1L + 2 + 4)) // each build task reads every id once
   }
 
   /** Fig. 10 at test scale: its seven (scheduler, steal) rows and its FULL
@@ -393,14 +414,18 @@ class OdysseyClusterSpec extends SparkSpec {
   }
 
   test("k-NN pipeline returns exact global top-k under replication") {
-    val k = 5
-    val cfg = ClusterConfig(4, 2, eqSplit, params = SearchParams(k = k))
-    val res = OdysseyCluster.run(spark, spec, queries.take(4), cfg)
     val data = (0L until n.toLong).map(id => (id, SeriesGen.series(spec, id)))
-    (0 until 4).foreach { q =>
-      val bruteK = Search.bruteForce(data.iterator, queries(q), k = k)
-      res.answers(q).zip(bruteK).foreach { case ((dg, _), (db, _)) =>
-        assert(math.abs(dg - db) < 1e-9, s"q=$q")
+    for (k <- Seq(5, n + 5)) { // k > n: every series comes back, in brute-force order
+      val cfg = ClusterConfig(4, 2, eqSplit, params = SearchParams(k = k))
+      val res = OdysseyCluster.run(spark, spec, queries.take(4), cfg)
+      (0 until 4).foreach { q =>
+        val bruteK = Search.bruteForce(data.iterator, queries(q), k = k)
+        assert(bruteK.length == math.min(k, n))
+        assert(res.answers(q).length == bruteK.length, s"k=$k, q=$q")
+        res.answers(q).zip(bruteK).foreach { case ((dg, ig), (db, ib)) =>
+          assert(math.abs(dg - db) < 1e-9, s"k=$k, q=$q")
+          if (k > n) assert(ig == ib, s"k=$k, q=$q")
+        }
       }
     }
   }
@@ -425,7 +450,7 @@ object OdysseyClusterSpec {
   /** RandomShuffle whose assignment of series id 7 throws inside a Spark
     * task only, so the driver-side checks pass and the build then fails.
     */
-  final class FailsInTask(k: Int) extends Partitioner {
+  final case class FailsInTask(k: Int) extends Partitioner {
     private val base = Partitioning.RandomShuffle(k)
     def name = "FAILS-IN-TASK"
     def nChunks: Int = k
@@ -438,7 +463,7 @@ object OdysseyClusterSpec {
   /** RandomShuffle that counts, in `calls`, each assignment read inside a
     * Spark task, so a test can count the build tasks' reads of it.
     */
-  final class CountsInTask(k: Int, calls: LongAccumulator) extends Partitioner {
+  final case class CountsInTask(k: Int, calls: LongAccumulator) extends Partitioner {
     private val base = Partitioning.RandomShuffle(k)
     def name = "COUNTS-IN-TASK"
     def nChunks: Int = k

@@ -1,6 +1,7 @@
 package repro.cluster
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.baselines.Dpisax
 import repro.core.SeriesGen.presets
 
 class PartitioningSpec extends AnyFunSuite {
@@ -91,5 +92,19 @@ class PartitioningSpec extends AnyFunSuite {
     assert(Partitioning.RandomShuffle(2).name == "EQUALLY-SPLIT-RS")
     val spec = presets.seismic(100)
     assert(Partitioning.densityAware(spec, 2, 8, 4).name == "DENSITY-AWARE")
+  }
+
+  test("partitioners built twice from the same inputs are equal; ones that assign differently are not") {
+    val spec = presets.seismic(400)
+    val n = spec.n.toLong
+    def build(): Seq[Partitioner] = Seq(Partitioning.EquallySplit(n, 4), Partitioning.RandomShuffle(4),
+      Partitioning.densityAware(spec, 4, w = 8, lambda = 8), Dpisax.partition(spec, 4, w = 8))
+    val (a, b) = (build(), build())
+    a.zip(b).foreach { case (x, y) => assert(x == y && x.hashCode == y.hashCode, x.name) }
+    val differing = a.combinations(2).toSeq :+ Seq(Partitioning.RandomShuffle(2), Partitioning.EquallySplit(n, 2))
+    for (Seq(x, y) <- differing) {
+      assert((0L until n).exists(id => x.chunkOf(id) != y.chunkOf(id)), s"${x.name} and ${y.name} assign alike")
+      assert(x != y, s"${x.name} == ${y.name}")
+    }
   }
 }

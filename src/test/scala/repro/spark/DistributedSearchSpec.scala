@@ -83,7 +83,7 @@ class DistributedSearchSpec extends SparkSpec {
     val local = DistributedSearch.run(spark, spec, part.chunkOf, queries, SearchParams())
     val bounds = local.flatMap(_.queries).groupBy(_.qid)
       .view.mapValues(_.map(_.approxBsf).min).toMap
-    val shared = DistributedSearch.withIndexes(spark, spec, part.chunkOf, part.nChunks, IndexConfig())(
+    val shared = DistributedSearch.withIndexes(spark, spec, part, IndexConfig())(
       DistributedSearch.answer(_, queries, SearchParams(), bounds))
     val aL = DistributedSearch.mergeAnswers(local, 1)
     val aS = DistributedSearch.mergeAnswers(shared, 1)
@@ -133,7 +133,7 @@ class DistributedSearchSpec extends SparkSpec {
     val queries = SeriesGen.queries(spec, 3)
     // a flat sigmoid forcing TH = 48/16 = 3
     val fit = repro.index.ThresholdModel.SigmoidFit(48, 48, 1, 1, 0)
-    val reports = DistributedSearch.withIndexes(spark, spec, _ => 0, 1, IndexConfig())(
+    val reports = DistributedSearch.withIndexes(spark, spec, Partitioning.RandomShuffle(1), IndexConfig())(
       DistributedSearch.answer(_, queries, SearchParams(thresholdFit = Some((fit, 16.0))), Map.empty))
     val tasks = reports.flatMap(_.queries).flatMap(_.tasks)
     assert(tasks.nonEmpty)
