@@ -118,10 +118,7 @@ object SeriesGen {
   /** A z-normalized random walk of `length` Gaussian steps. */
   private def normalizedWalk(stream: Rng.Stream, length: Int): Array[Double] = {
     val v = new Array[Double](length)
-    var acc = 0.0; var sum = 0.0
-    var i = 0
-    while (i < length) { acc += stream.nextGaussian(); v(i) = acc; sum += acc; i += 1 }
-    Distances.zNormalizeInPlace(v, sum)
+    Distances.zNormalizeInPlace(v, stream.walk(v))
   }
 
   /** Center of cluster `j` (z-normalized random walk). */

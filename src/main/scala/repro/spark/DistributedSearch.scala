@@ -1,5 +1,7 @@
 package repro.spark
 
+import java.io.{NotSerializableException, ObjectOutputStream, OutputStream}
+import org.apache.spark.TaskContext
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
@@ -56,22 +58,36 @@ object DistributedSearch {
   final class ChunkIndexes private[DistributedSearch] (private[DistributedSearch] val rdd: RDD[IsaxIndex],
       val spec: DatasetSpec, val chunking: Partitioner, val indexConfig: IndexConfig)
 
-  /** The one build path: check on the driver the series length and that
-    * `chunking` puts every id in a chunk `0 until nChunks`, hand the chunk
-    * indexes to `use`, built by the first job over them and reused by every
-    * later one, and release them afterwards, also when `use` throws.
+  /** The one build path: check on the driver the series length, that
+    * `chunking` is serializable and that it puts every id in a chunk
+    * `0 until nChunks`, hand the chunk indexes to `use`, built by the first
+    * job over them and reused by every later one, and release them
+    * afterwards, also when `use` throws.
     */
   def withIndexes[T](spark: SparkSession, spec: DatasetSpec, chunking: Partitioner,
                      indexConfig: IndexConfig)(use: ChunkIndexes => T): T = {
     require(spec.length >= indexConfig.w,
       s"series of length ${spec.length} are shorter than the index's w = ${indexConfig.w} segments")
-    (0L until spec.n).foreach { id =>
+    checkSerializable(chunking)
+    var id = 0L
+    while (id < spec.n) {
       val chunk = chunking.chunkOf(id)
       require(chunk >= 0 && chunk < chunking.nChunks, s"chunk $chunk of ${chunking.nChunks} for series id $id")
+      id += 1
     }
     val indexes = new ChunkIndexes(buildIndexes(spark, spec, chunking, indexConfig), spec, chunking, indexConfig)
     try use(indexes) finally indexes.rdd.unpersist(blocking = true)
   }
+
+  /** The build task ships `chunking`; one that cannot be serialized fails
+    * here, naming it and the class at fault, rather than inside Spark.
+    */
+  private def checkSerializable(chunking: Partitioner): Unit =
+    try new ObjectOutputStream(OutputStream.nullOutputStream()).writeObject(chunking)
+    catch {
+      case e: NotSerializableException => throw new IllegalArgumentException(
+        s"partitioner ${chunking.name} of ${chunking.nChunks} chunks is not serializable: ${e.getMessage}", e)
+    }
 
   /** Every query must have `spec.length` values, all of them finite. */
   private def checkQueries(spec: DatasetSpec, queries: Array[Array[Double]]): Unit =
@@ -91,27 +107,26 @@ object DistributedSearch {
   private def buildIndexes(spark: SparkSession, spec: DatasetSpec, chunking: Partitioner,
                            indexConfig: IndexConfig): RDD[IsaxIndex] =
     spark.sparkContext.parallelize(0 until chunking.nChunks, chunking.nChunks)
-      .flatMap { chunk =>
-        val ids = Array.range(0, spec.n).filter(chunking.chunkOf(_) == chunk).map(_.toLong)
-        if (ids.isEmpty) Iterator.empty
-        else Iterator.single(IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), indexConfig, new Cost))
-      }
+      .flatMap(new BuildTask(spec, chunking, indexConfig))
       .persist(StorageLevel.MEMORY_ONLY)
+
+  /** One chunk's index, or none; named, like [[ChunkTask]], so its fields are all that ships. */
+  private final class BuildTask(spec: DatasetSpec, chunking: Partitioner, indexConfig: IndexConfig)
+      extends (Int => Iterator[IsaxIndex]) with Serializable {
+    def apply(chunk: Int): Iterator[IsaxIndex] = {
+      val ids = Array.range(0, spec.n).filter(chunking.chunkOf(_) == chunk).map(_.toLong)
+      if (ids.isEmpty) Iterator.empty
+      else Iterator.single(IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), indexConfig, new Cost))
+    }
+  }
 
   /** Each query's best initial BSF over all chunks: the approximate search
     * alone per (chunk, query), then the minimum per qid on the driver.
     */
   def approxBounds(indexes: ChunkIndexes, queries: Array[Array[Double]],
                    params: SearchParams): Map[Int, Double] = {
-    checkQueries(indexes.spec, queries)
-    val qs = queries // local val: avoid closing over anything non-serializable
-    val perChunk = indexes.rdd.map { index =>
-      qs.map { q =>
-        val ctx = new QueryCtx(q, params.mode, index.config.w, index.segSizes)
-        Search.approx(index, ctx, new Cost, params.k).bound
-      }
-    }.collect()
-    qs.indices.map(qid => qid -> perChunk.map(_(qid)).min).toMap
+    val perChunk = onChunks(indexes, queries, new ApproxTask(queries, params))
+    queries.indices.map(qid => qid -> perChunk.map(_(qid)).min).toMap
   }
 
   /** Answer `queries` exactly on every cached chunk index. A query starts
@@ -120,20 +135,46 @@ object DistributedSearch {
     */
   def answer(indexes: ChunkIndexes, queries: Array[Array[Double]], params: SearchParams,
              startBounds: Map[Int, Double]): Seq[ChunkReport] = {
-    checkQueries(indexes.spec, queries)
-    val qs = queries
-    val reports = indexes.rdd.map { index =>
-      val queryRows = qs.indices.map { qid =>
-        QueryStatRow.of(qid, Search.exact(index, qs(qid), params,
-          startBound = startBounds.getOrElse(qid, Double.PositiveInfinity)))
-      }
-      ChunkReport(index.buildStats, queryRows)
-    }
-      .collect()
-      .toSeq
-      .sortBy(_.build.chunk)
+    val reports = onChunks(indexes, queries, new ExactTask(queries, params, startBounds)).sortBy(_.build.chunk)
     require(reports.nonEmpty, "no chunks produced — empty collection?")
     reports
+  }
+
+  /** One job over the cached chunk indexes, after checking `queries`: `task`
+    * on every index, in partition order (a chunk with no series emits nothing).
+    * A named task, unlike a lambda, keeps Spark's closure cleaner from
+    * parsing class files on every job.
+    */
+  private def onChunks[R](indexes: ChunkIndexes, queries: Array[Array[Double]], task: ChunkTask[R]): Seq[R] = {
+    checkQueries(indexes.spec, queries)
+    val rdd = indexes.rdd
+    rdd.sparkContext.runJob(rdd, task, rdd.partitions.indices).toSeq.flatten
+  }
+
+  /** A job's work on one chunk index. Its fields are all that ships to the executors. */
+  private abstract class ChunkTask[R]
+      extends ((TaskContext, Iterator[IsaxIndex]) => List[R]) with Serializable {
+    def on(index: IsaxIndex): R
+    final def apply(ctx: TaskContext, indexes: Iterator[IsaxIndex]): List[R] = indexes.map(on).toList
+  }
+
+  /** Each query's approximate-search bound on one index, in qid order. */
+  private final class ApproxTask(queries: Array[Array[Double]], params: SearchParams)
+      extends ChunkTask[Array[Double]] {
+    def on(index: IsaxIndex): Array[Double] = queries.map { q =>
+      val ctx = new QueryCtx(q, params.mode, index.config.w, index.segSizes)
+      Search.approx(index, ctx, new Cost, params.k).bound
+    }
+  }
+
+  /** One index's build stats and exact-search row per query. */
+  private final class ExactTask(queries: Array[Array[Double]], params: SearchParams,
+                                startBounds: Map[Int, Double]) extends ChunkTask[ChunkReport] {
+    def on(index: IsaxIndex): ChunkReport =
+      ChunkReport(index.buildStats, queries.indices.map { qid =>
+        QueryStatRow.of(qid, Search.exact(index, queries(qid), params,
+          startBound = startBounds.getOrElse(qid, Double.PositiveInfinity)))
+      })
   }
 
   /** Merge per-chunk top-k lists into the global exact top-k per query. */

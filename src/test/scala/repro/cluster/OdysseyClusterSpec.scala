@@ -122,6 +122,21 @@ class OdysseyClusterSpec extends SparkSpec {
     }
   }
 
+  test("a partitioner that cannot be serialized fails on the driver, naming it and the class") {
+    val opaque = new OdysseyClusterSpec.Opaque
+    for ((body, name) <- Seq[(() => Any, String)](
+           (() => OdysseyCluster.run(spark, spec, queries.take(1), ClusterConfig(2, 2, OdysseyClusterSpec.HoldsOpaque(_))))
+             -> "HOLDS-OPAQUE of 2 chunks",
+           (() => DistributedSearch.run(spark, spec, opaque.chunkOf, queries.take(1), SearchParams()))
+             -> "chunkOf of 2 chunks")) {
+      val (ran, e) = seen(intercept[IllegalArgumentException](body()))
+      assert(e.getMessage.contains(s"partitioner $name") && e.getMessage.contains(classOf[OdysseyClusterSpec.Opaque].getName),
+        e.getMessage)
+      assert(ran.stageTasks.isEmpty, "a Spark job ran")
+      assert(spark.sparkContext.getPersistentRDDs.isEmpty)
+    }
+  }
+
   test("series shorter than the index's w fail on the driver, naming both") {
     val short = presets.seismic(n, length = 12)
     val cfg = ClusterConfig(2, 2, eqSplit, indexConfig = IndexConfig(w = 16))
@@ -458,6 +473,20 @@ object OdysseyClusterSpec {
       if (id == 7 && TaskContext.get() != null) throw new IllegalStateException("in task")
       base.chunkOf(id)
     }
+  }
+
+  /** A class that is not serializable, with a 2-chunk assignment. */
+  final class Opaque {
+    def chunkOf(id: Long): Int = (id % 2).toInt
+  }
+
+  /** RandomShuffle holding a field that cannot be serialized. */
+  final case class HoldsOpaque(k: Int) extends Partitioner {
+    private val base = Partitioning.RandomShuffle(k)
+    val opaque = new Opaque
+    def name = "HOLDS-OPAQUE"
+    def nChunks: Int = k
+    def chunkOf(id: Long): Int = base.chunkOf(id)
   }
 
   /** RandomShuffle that counts, in `calls`, each assignment read inside a

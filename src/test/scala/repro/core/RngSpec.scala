@@ -4,8 +4,9 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class RngSpec extends AnyFunSuite {
 
-  /** The hand-written SplitMix64 loop `Rng.Stream` ran before it wrapped
-    * `java.util.SplittableRandom`: the reference its uniform draws must keep.
+  /** SplitMix64 written out from its definition (golden gamma, then the
+    * mix): the reference `Rng.Stream`'s uniform draws must keep, independent
+    * of both `Rng.mix` and `java.util.SplittableRandom`.
     */
   private final class SplitMix64(seed: Long) {
     private var state = seed
@@ -26,6 +27,58 @@ class RngSpec extends AnyFunSuite {
         assert(st.nextDouble() == (ref.nextLong() >>> 11) * 1.1102230246251565e-16, s"draw $i")
         assert(st.nextInt(1000 + i) == ((ref.nextLong() >>> 1) % (1000 + i)).toInt, s"draw $i")
       }
+    }
+  }
+
+  test("Rng.Stream draws what SplittableRandom draws: 1.2M interleaved draws over 2,000 seeds") {
+    var (gaussians, slow) = (0, 0)
+    for (s <- 0 until 2000) {
+      val seed = Rng.key(2016, s.toLong)
+      val (st, sr) = (new Rng.Stream(seed), new java.util.SplittableRandom(seed))
+      // A third copy of the stream, read through a generator that records the
+      // first draw of each Gaussian: its low byte picks the ziggurat layer.
+      val watched = new java.util.SplittableRandom(seed)
+      var (fresh, first) = (false, 0L)
+      val watch: java.util.random.RandomGenerator = () => {
+        val u = watched.nextLong(); if (fresh) { fresh = false; first = u }; u
+      }
+      (0 until 600).foreach { i =>
+        (i * 7 + s) % 6 match {
+          case 0 =>
+            assert(st.nextLong() == sr.nextLong(), s"seed $s draw $i"); watched.nextLong()
+          case 1 =>
+            assert(st.nextDouble() == sr.nextDouble(), s"seed $s draw $i"); watched.nextLong()
+          case 2 =>
+            val bound = 1 + (i * 7919) % 100000
+            assert(st.nextInt(bound) == ((sr.nextLong() >>> 1) % bound).toInt, s"seed $s draw $i"); watched.nextLong()
+          case _ =>
+            val g = st.nextGaussian()
+            assert(java.lang.Double.doubleToRawLongBits(g) == java.lang.Double.doubleToRawLongBits(sr.nextGaussian()),
+              s"seed $s draw $i")
+            fresh = true
+            assert(watch.nextGaussian() == g)
+            gaussians += 1
+            if ((first & 255) >= 253) slow += 1
+        }
+      }
+      assert(st.nextLong() == sr.nextLong(), s"seed $s: the streams end at different positions")
+    }
+    // 3 layers of 256 take the JDK's slow path; all of them must have been compared.
+    val frac = slow.toDouble / gaussians
+    assert(frac > 0.010 && frac < 0.0135, s"$slow of $gaussians Gaussian draws took the slow path")
+  }
+
+  test("walk fills the same walk and sum as a loop over SplittableRandom.nextGaussian") {
+    for (s <- 0 until 1000; length <- Seq(0, 1, 7, 256, 1000)) {
+      val seed = Rng.key(7, s.toLong)
+      val (st, sr) = (new Rng.Stream(seed), new java.util.SplittableRandom(seed))
+      val v = new Array[Double](length)
+      val sum = st.walk(v)
+      val ref = new Array[Double](length)
+      var acc = 0.0; var refSum = 0.0
+      ref.indices.foreach { i => acc += sr.nextGaussian(); ref(i) = acc; refSum += acc }
+      assert(v.sameElements(ref) && sum == refSum, s"seed $s length $length")
+      assert(st.nextLong() == sr.nextLong(), s"seed $s length $length: the streams end at different positions")
     }
   }
 

@@ -23,6 +23,14 @@ class SeriesGenSpec extends AnyFunSuite {
       }
     }
 
+    test(s"$name: 200 series, clustered and not, equal the SplittableRandom reference bit for bit") {
+      val ids = (0 until 200).map(i => i.toLong * spec.n / 200)
+      assert(ids.exists(spec.clusterOf(_) < 0) && (spec.nClustered == 0 || ids.exists(spec.clusterOf(_) >= 0)))
+      ids.foreach { id =>
+        assert(SeriesGen.series(spec, id).sameElements(SeriesGenSpec.series(spec, id)), s"id $id")
+      }
+    }
+
     test(s"$name: queries are deterministic and normalized") {
       (0 until 5).foreach { q =>
         val a = SeriesGen.query(spec, q)
@@ -87,5 +95,35 @@ class SeriesGenSpec extends AnyFunSuite {
 
   test("byName rejects unknown datasets") {
     intercept[IllegalArgumentException](presets.byName("nope", 10))
+  }
+}
+
+object SeriesGenSpec {
+
+  /** A z-normalized walk of `SplittableRandom.nextGaussian` steps, drawn one at a time. */
+  private def walk(seed: Long, length: Int): Array[Double] = {
+    val rng = new java.util.SplittableRandom(seed)
+    val v = new Array[Double](length)
+    var acc = 0.0; var sum = 0.0
+    var i = 0
+    while (i < length) { acc += rng.nextGaussian(); v(i) = acc; sum += acc; i += 1 }
+    Distances.zNormalizeInPlace(v, sum)
+  }
+
+  /** `SeriesGen.series` written out: a walk, and for a cluster member its
+    * center plus sigma times that walk, normalized again.
+    */
+  def series(spec: SeriesGen.DatasetSpec, id: Long): Array[Double] = {
+    val v = walk(Rng.key(spec.seed, id), spec.length)
+    val j = spec.clusterOf(id)
+    if (j < 0) v
+    else {
+      val c = walk(Rng.key(spec.seed, 7000L + j), spec.length)
+      val sigma = SeriesGen.clusterSigma(spec, j)
+      var sum = 0.0
+      var i = 0
+      while (i < spec.length) { v(i) = c(i) + sigma * v(i); sum += v(i); i += 1 }
+      Distances.zNormalizeInPlace(v, sum)
+    }
   }
 }
