@@ -129,16 +129,25 @@ object Distances {
     * can fold the sum into that pass and get [[zNormalize]]'s exact values.
     */
   def zNormalizeInPlace(v: Array[Double], sum: Double): Array[Double] = {
-    val n = v.length
-    val mean = sum / n
-    var q = 0.0; var i = 0
-    while (i < n) { val d = v(i) - mean; q += d * d; i += 1 }
-    val sd = math.sqrt(q / n)
-    if (sd < 1e-12) java.util.Arrays.fill(v, 0.0)
+    val mean = sum / v.length
+    val sd = zDivisor(v, mean)
+    if (sd == 0.0) java.util.Arrays.fill(v, 0.0)
     else {
-      i = 0
-      while (i < n) { v(i) = (v(i) - mean) / sd; i += 1 }
+      var i = 0
+      while (i < v.length) { v(i) = (v(i) - mean) / sd; i += 1 }
     }
     v
+  }
+
+  /** The divisor [[zNormalizeInPlace]] uses for `v` of mean `mean`: its
+    * population standard deviation, or 0.0 below 1e-12 (a flat `v`, which
+    * normalizes to zeros). A caller that writes `(v(i) - mean) / sd`, or 0.0
+    * for a flat `v`, gets the normalized values without storing them.
+    */
+  def zDivisor(v: Array[Double], mean: Double): Double = {
+    var q = 0.0; var i = 0
+    while (i < v.length) { val d = v(i) - mean; q += d * d; i += 1 }
+    val sd = math.sqrt(q / v.length)
+    if (sd < 1e-12) 0.0 else sd
   }
 }

@@ -59,10 +59,23 @@ object ISax {
     tables(bits)
   }
 
-  /** Symbol (region index, 0-based from the bottom) of `v` at `bits`. */
-  def symbol(v: Double, bits: Int): Int = {
-    val bp = tables(bits)
-    // binary search: number of breakpoints <= v
+  private final val GuessLo = -4.0
+  private final val GuessScale = 512.0
+  private final val GuessBuckets = 4096
+
+  /** The guess table of [[symbol]]: bucket `k` covers [-4 + k/512,
+    * -4 + (k+1)/512) and holds the number of 8-bit breakpoints at or below
+    * its lower edge. The narrowest gap between 8-bit breakpoints (0.0098)
+    * is wider than a bucket (1/512), so each bucket holds at most one
+    * breakpoint. Entry 4096 (edge 4.0) catches a `v` just below 4 whose
+    * `v + 4` rounds up to 8.
+    */
+  private val guess: Array[Short] = Array.tabulate(GuessBuckets + 1) { k =>
+    search(tables(MaxBits), GuessLo + k / GuessScale).toShort
+  }
+
+  /** Number of entries of the ascending `bp` at or below `v` (0 for NaN). */
+  private def search(bp: Array[Double], v: Double): Int = {
     var lo = 0
     var hi = bp.length
     while (lo < hi) {
@@ -70,6 +83,26 @@ object ISax {
       if (bp(mid) <= v) lo = mid + 1 else hi = mid
     }
     lo
+  }
+
+  /** Symbol (region index, 0-based from the bottom) of `v` at `bits`: the
+    * number of breakpoints at or below `v`. Inside [-4, 4) the 8-bit symbol
+    * is guessed from its bucket and corrected against the breakpoints, so
+    * it is exact even where rounding puts `v` in a neighbouring bucket;
+    * outside, and for NaN, a binary search finds it. Breakpoints nest
+    * exactly, so fewer bits take the 8-bit symbol shifted right.
+    */
+  def symbol(v: Double, bits: Int): Int = {
+    if (bits < 0 || bits > MaxBits) throw new IllegalArgumentException(s"bits out of range: $bits")
+    val bp = tables(MaxBits)
+    val full =
+      if (v >= GuessLo && v < -GuessLo) {
+        var s = guess(((v - GuessLo) * GuessScale).toInt).toInt
+        while (s > 0 && bp(s - 1) > v) s -= 1
+        while (s < bp.length && bp(s) <= v) s += 1
+        s
+      } else search(bp, v)
+    full >>> (MaxBits - bits)
   }
 
   /** Full-cardinality word (one symbol per PAA segment) at MaxBits. */

@@ -12,23 +12,31 @@ object Paa {
 
   /** Per-segment point counts for a series of `length` split into `w` parts. */
   def segmentSizes(length: Int, w: Int): Array[Int] = {
-    require(w > 0 && length >= w, s"need length >= w > 0, got length=$length w=$w")
+    checkSplit(length, w)
     val base = length / w
     val rem  = length % w
     Array.tabulate(w)(i => if (i < rem) base + 1 else base)
   }
 
-  /** PAA of `values` into `w` segment means. */
+  private def checkSplit(length: Int, w: Int): Unit =
+    require(w > 0 && length >= w, s"need length >= w > 0, got length=$length w=$w")
+
+  /** PAA of `values` into `w` segment means; the segment sizes of
+    * [[segmentSizes]], without building that array.
+    */
   def of(values: Array[Double], w: Int): Array[Double] = {
-    val sizes = segmentSizes(values.length, w)
-    val out   = new Array[Double](w)
+    checkSplit(values.length, w)
+    val base = values.length / w
+    val rem  = values.length % w
+    val out  = new Array[Double](w)
     var i = 0
     var p = 0
     while (i < w) {
+      val size = if (i < rem) base + 1 else base
+      val end = p + size
       var s = 0.0
-      var j = 0
-      while (j < sizes(i)) { s += values(p); p += 1; j += 1 }
-      out(i) = s / sizes(i)
+      while (p < end) { s += values(p); p += 1 }
+      out(i) = s / size
       i += 1
     }
     out

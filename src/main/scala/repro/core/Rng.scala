@@ -101,10 +101,19 @@ object Rng {
 
     /** The JDK's `nextGaussian` over a generator that returns `u`, then continues this stream. */
     private def slowGaussian(u: Long): Double = {
-      var first = true
-      val resume: java.util.random.RandomGenerator = () =>
-        if (first) { first = false; u } else nextLong()
+      if (resume == null) resume = new Resume
+      resume.pending = true
+      resume.first = u
       resume.nextGaussian()
+    }
+
+    /** The slow path's adapter, made on its first use and reused by this stream. */
+    private var resume: Resume = _
+
+    private final class Resume extends java.util.random.RandomGenerator {
+      var pending = false
+      var first = 0L
+      def nextLong(): Long = if (pending) { pending = false; first } else Stream.this.nextLong()
     }
   }
 }

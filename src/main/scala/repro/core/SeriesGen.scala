@@ -1,7 +1,5 @@
 package repro.core
 
-import java.util.concurrent.ConcurrentHashMap
-
 /** Synthetic data-series collections standing in for the paper's datasets
   * (Table 1).
   *
@@ -77,6 +75,14 @@ object SeriesGen {
     }
 
     def sizeBytes: Long = n.toLong * length * 8
+
+    /** Each cluster's center (a z-normalized random walk) and noise sigma,
+      * computed once per spec instance; transient, so a deserialized copy
+      * (a Spark task's) recomputes them on first use.
+      */
+    @transient lazy val centers: Array[Array[Double]] =
+      Array.tabulate(clusterSizes.length)(j => normalizedWalk(new Rng.Stream(Rng.key(seed, 7000L + j)), length))
+    @transient lazy val sigmas: Array[Double] = Array.tabulate(clusterSizes.length)(clusterSigma(this, _))
   }
 
   /** Presets mirroring Table 1's character (at reproduction scale). */
@@ -112,20 +118,11 @@ object SeriesGen {
     val all: Seq[String] = Seq("Random", "Seismic", "Astro", "Deep", "Sift", "Yan-TtI")
   }
 
-  // Cluster centers are shared across many series; memoize them per JVM.
-  private val centerCache = new ConcurrentHashMap[(Long, Int, Int), Array[Double]]()
-
   /** A z-normalized random walk of `length` Gaussian steps. */
   private def normalizedWalk(stream: Rng.Stream, length: Int): Array[Double] = {
     val v = new Array[Double](length)
     Distances.zNormalizeInPlace(v, stream.walk(v))
   }
-
-  /** Center of cluster `j` (z-normalized random walk). */
-  def center(spec: DatasetSpec, j: Int): Array[Double] =
-    centerCache.computeIfAbsent((spec.seed, spec.length, j), { _ =>
-      normalizedWalk(new Rng.Stream(Rng.key(spec.seed, 7000L + j)), spec.length)
-    })
 
   /** Noise sigma of cluster `j`: log-spread over [sigmaMin, sigmaMax],
     * *descending in cluster size* — the largest cluster is the loosest.
@@ -153,15 +150,23 @@ object SeriesGen {
     * raw cluster density.
     */
   def series(spec: DatasetSpec, id: Long): Array[Double] = {
-    val v = normalizedWalk(new Rng.Stream(Rng.key(spec.seed, id)), spec.length)
+    val v = new Array[Double](spec.length)
+    val walkSum = new Rng.Stream(Rng.key(spec.seed, id)).walk(v)
     val j = spec.clusterOf(id)
-    if (j < 0) v
+    if (j < 0) Distances.zNormalizeInPlace(v, walkSum)
     else {
-      val c = center(spec, j)
-      val sigma = clusterSigma(spec, j)
+      val c = spec.centers(j)
+      val sigma = spec.sigmas(j)
+      // the walk's z-normalization fused into the mix: the same operations in the same order
+      val mean = walkSum / v.length
+      val sd = Distances.zDivisor(v, mean)
       var sum = 0.0
       var i = 0
-      while (i < spec.length) { v(i) = c(i) + sigma * v(i); sum += v(i); i += 1 }
+      while (i < v.length) {
+        v(i) = c(i) + sigma * (if (sd == 0.0) 0.0 else (v(i) - mean) / sd)
+        sum += v(i)
+        i += 1
+      }
       Distances.zNormalizeInPlace(v, sum)
     }
   }

@@ -60,9 +60,9 @@ final case class BuildStats(chunk: Int, nSeries: Long, bufferOps: Long, treeOps:
 final class IsaxIndex private (val chunk: Int, val config: IndexConfig,
                                private[index] val ids: Array[Long],
                                private[index] val series: Array[Array[Double]],
-                               private[index] val words: Array[Byte]) {
+                               private[index] val words: Array[Byte],
+                               val segSizes: Array[Int]) {
   val length: Int = series(0).length
-  val segSizes: Array[Int] = Paa.segmentSizes(length, config.w)
   private var _treeOps = 0L
 
   /** The root subtree of each packed first-bit word, null where no series
@@ -189,33 +189,42 @@ object IsaxIndex {
 
   /** Summarize + index chunk `chunk`, whose position `i` holds series `ids(i)`,
     * `seriesAt(i)`; the index keeps both `ids` and the returned arrays.
-    * Summaries (series, PAA, full-cardinality word) are computed in
-    * parallel [[Blocks]] on the common pool, each position writing only its
-    * own `w` word slots, so `seriesAt` must be a pure function of `i`; the
-    * positions then enter the tree one by one in order, so every leaf,
-    * split and op count is that of a sequential build. `cost` is charged
-    * one op per point for summarization and one per tree-node visit during
-    * insertion.
+    * Summaries (series, full-cardinality word) are computed in parallel
+    * [[Blocks]] on the common pool, each position summing its segments in
+    * place and writing only its own `w` word slots, so `seriesAt` must be a
+    * pure function of `i`; the positions then enter the tree one by one in
+    * order, so every leaf, split and op count is that of a sequential
+    * build. `cost` is charged one op per point for summarization and one
+    * per tree-node visit during insertion.
     */
   def build(chunk: Int, ids: Array[Long], seriesAt: Int => Array[Double], config: IndexConfig,
             cost: Cost): IsaxIndex = {
     require(ids.nonEmpty, "cannot build an index over an empty chunk")
     val w = config.w
+    val first = seriesAt(0)
+    val length = first.length
+    val segSizes = Paa.segmentSizes(length, w)
     val words = new Array[Byte](ids.length * w)
     val series = Blocks.tabulate(ids.length) { i =>
-      val values = seriesAt(i)
-      val paa = Paa.of(values, w)
+      val values = if (i == 0) first else seriesAt(i)
+      if (values.length != length)
+        throw new IllegalArgumentException(s"ragged series length for id=${ids(i)}")
+      // the segment means of Paa.of, summed in the same order
+      var p = 0
       var s = 0
-      while (s < w) { words(i * w + s) = ISax.symbol(paa(s), ISax.MaxBits).toByte; s += 1 }
+      while (s < w) {
+        val size = segSizes(s)
+        val end = p + size
+        var sum = 0.0
+        while (p < end) { sum += values(p); p += 1 }
+        words(i * w + s) = ISax.symbol(sum / size, ISax.MaxBits).toByte
+        s += 1
+      }
       values
     }
-    val idx = new IsaxIndex(chunk, config, ids, series, words)
+    val idx = new IsaxIndex(chunk, config, ids, series, words, segSizes)
     var p = 0
-    while (p < ids.length) {
-      require(series(p).length == idx.length, s"ragged series length for id=${ids(p)}")
-      idx.insert(p)
-      p += 1
-    }
+    while (p < ids.length) { idx.insert(p); p += 1 }
     cost.add(idx.nSeries * idx.length + idx._treeOps)
     idx
   }

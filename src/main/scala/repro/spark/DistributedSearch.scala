@@ -114,7 +114,10 @@ object DistributedSearch {
   private final class BuildTask(spec: DatasetSpec, chunking: Partitioner, indexConfig: IndexConfig)
       extends (Int => Iterator[IsaxIndex]) with Serializable {
     def apply(chunk: Int): Iterator[IsaxIndex] = {
-      val ids = Array.range(0, spec.n).filter(chunking.chunkOf(_) == chunk).map(_.toLong)
+      val owned = new scala.collection.mutable.ArrayBuilder.ofLong
+      var id = 0L
+      while (id < spec.n) { if (chunking.chunkOf(id) == chunk) owned += id; id += 1 }
+      val ids = owned.result()
       if (ids.isEmpty) Iterator.empty
       else Iterator.single(IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), indexConfig, new Cost))
     }

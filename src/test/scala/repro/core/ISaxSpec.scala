@@ -22,11 +22,32 @@ class ISaxSpec extends AnyFunSuite {
   }
 
   test("breakpoints are nested across cardinalities") {
-    for (b <- 1 until ISax.MaxBits) {
-      val coarse = ISax.breakpoints(b).toSet
-      val fine   = ISax.breakpoints(b + 1)
-      coarse.foreach { v => assert(fine.exists(f => math.abs(f - v) < 1e-12)) }
+    val full = ISax.breakpoints(ISax.MaxBits)
+    for (b <- 1 until ISax.MaxBits; i <- ISax.breakpoints(b).indices) {
+      // bit for bit: a coarse symbol is the full symbol shifted right
+      assert(ISax.breakpoints(b)(i) == full(((i + 1) << (ISax.MaxBits - b)) - 1), s"b=$b i=$i")
     }
+  }
+
+  test("symbol equals a binary search over the breakpoints at every depth") {
+    val bp = ISax.breakpoints(ISax.MaxBits)
+    val special = Seq(0.0, -0.0, Double.PositiveInfinity, Double.NegativeInfinity, Double.NaN,
+      Double.MinPositiveValue, -Double.MinPositiveValue, Double.MaxValue, -Double.MaxValue, 4.0, -4.0)
+    val around = (bp.toSeq ++ (0 to 4096).map(k => -4.0 + k / 512.0))
+      .flatMap(v => Seq(v, math.nextUp(v), math.nextDown(v)))
+    def check(v: Double): Unit = {
+      var b = 0
+      while (b <= ISax.MaxBits) {
+        val want = ISaxSpec.searchSymbol(v, b)
+        if (ISax.symbol(v, b) != want) fail(s"v=$v bits=$b: got ${ISax.symbol(v, b)}, want $want")
+        b += 1
+      }
+    }
+    (special ++ around).foreach(check)
+    val rng = new Rng.Stream(29)
+    (1 to 1000000).foreach(_ => check(rng.nextGaussian()))
+    (1 to 1000000).foreach(_ => check(3.0 * rng.nextGaussian()))
+    (1 to 1000000).foreach(_ => check(12.0 * rng.nextDouble() - 6.0))
   }
 
   test("symbol at b bits equals max-cardinality symbol shifted") {
@@ -118,5 +139,22 @@ class ISaxSpec extends AnyFunSuite {
     val word = ISax.word(paa)
     val lb = ISax.mindistPaaToWord(paa, Paa.segmentSizes(l, w), word, Array.fill(w)(ISax.MaxBits))
     assert(lb == 0.0)
+  }
+}
+
+object ISaxSpec {
+
+  /** The symbol as a binary search over the breakpoints at `bits`: the
+    * number of breakpoints at or below `v` (0 for NaN).
+    */
+  def searchSymbol(v: Double, bits: Int): Int = {
+    val bp = ISax.breakpoints(bits)
+    var lo = 0
+    var hi = bp.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (bp(mid) <= v) lo = mid + 1 else hi = mid
+    }
+    lo
   }
 }

@@ -31,6 +31,20 @@ class SeriesGenSpec extends AnyFunSuite {
       }
     }
 
+    test(s"$name: a serialized copy of the spec generates the same series") {
+      val ids = Seq(0L, spec.nClustered / 2L, spec.n - 1L)
+      val before = ids.map(SeriesGen.series(spec, _)) // the original's centers are computed
+      val bytes = new java.io.ByteArrayOutputStream
+      val out = new java.io.ObjectOutputStream(bytes)
+      out.writeObject(spec)
+      out.close()
+      val copy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+        .readObject().asInstanceOf[SeriesGen.DatasetSpec]
+      assert(copy == spec && !(copy eq spec))
+      assert(ids.exists(copy.clusterOf(_) < 0) && (spec.nClustered == 0 || ids.exists(copy.clusterOf(_) >= 0)))
+      ids.zip(before).foreach { case (id, v) => assert(SeriesGen.series(copy, id).sameElements(v), s"id $id") }
+    }
+
     test(s"$name: queries are deterministic and normalized") {
       (0 until 5).foreach { q =>
         val a = SeriesGen.query(spec, q)
@@ -58,7 +72,7 @@ class SeriesGenSpec extends AnyFunSuite {
   test("cluster members are near their center; unclustered walks are not") {
     val spec = presets.astro(600)
     val tight = spec.clusterSizes.length - 1 // last cluster has the smallest sigma
-    val c = SeriesGen.center(spec, tight)
+    val c = spec.centers(tight)
     val member = SeriesGen.series(spec, spec.clusterStarts(tight).toLong)
     val walk = SeriesGen.series(spec, (spec.n - 1).toLong)
     assert(Distances.ed(member, c) < Distances.ed(walk, c))

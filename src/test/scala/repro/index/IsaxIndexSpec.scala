@@ -200,14 +200,16 @@ class IsaxIndexSpec extends AnyFunSuite {
   }
 
   test("the words column holds each series' full-cardinality word") {
-    for (w <- Seq(4, 8, 16)) {
-      val data = dataset(300, "Random")
+    // length 250 splits unevenly into 8 and 16 segments
+    val random250 = presets.random(300, length = 250)
+    val uneven = (0L until 300L).map(id => (id, SeriesGen.series(random250, id)))
+    for ((data, w) <- Seq(4, 8, 16).map(dataset(300, "Random") -> _) ++ Seq(8, 16).map(uneven -> _)) {
       val idx = IsaxIndex.build(data.iterator, IndexConfig(w = w, leafCapacity = 8))
       assert(idx.words.length == 300 * w)
       data.indices.foreach { p =>
         assert(idx.series(p) eq data(p)._2)
         assert(idx.ids(p) == data(p)._1)
-        assert(word(idx, p).sameElements(ISax.word(Paa.of(idx.series(p), w))), s"w=$w p=$p")
+        assert(word(idx, p).sameElements(ISax.word(Paa.of(idx.series(p), w))), s"w=$w p=$p length=${idx.length}")
       }
     }
   }
