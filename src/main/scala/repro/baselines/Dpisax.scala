@@ -1,6 +1,6 @@
 package repro.baselines
 
-import scala.collection.mutable
+import scala.collection.{immutable, mutable}
 import repro.cluster.Partitioning
 import repro.core.{Blocks, ISax, Paa, Rng}
 import repro.core.SeriesGen.DatasetSpec
@@ -101,7 +101,6 @@ object Dpisax {
         (ISax.rootKey(sax) % nChunks + nChunks) % nChunks
       }
     val chunks = Blocks.tabulate(spec.n)(id => chunkOfSax(saxOf(id.toLong)))
-    val assign = chunks.indices.map(id => id.toLong -> chunks(id)).toMap
-    Partitioning.Table("DPISAX", nChunks, assign)
+    Partitioning.Table("DPISAX", nChunks, immutable.ArraySeq.unsafeWrapArray(chunks))
   }
 }

@@ -1,9 +1,10 @@
 package repro.cluster
 
 import repro.index.{PqStat, QueryRun}
+import repro.spark.QueryStatRow
 
-/** Intra-node timing (§3.2.1): converts one [[QueryRun]]'s op breakdown
-  * into the three phases a node spends on a query.
+/** Intra-node timing (§3.2.1): converts one query's measured row on a
+  * chunk into the three phases a node spends on it.
   *
   *  - the initial-BSF approximate search is sequential;
   *  - the tree-traversal phase runs one thread per RS-batch with helping
@@ -40,8 +41,14 @@ object IntraNodeSim {
              CostModel.parallelSecs(maxB, math.min(threads, 1 + HelpTH)))
   }
 
-  /** Build the [[QueryWork]] plan for a measured run. */
+  /** Build the [[QueryWork]] plan for a measured row. */
+  def plan(row: QueryStatRow, threads: Int): QueryWork = {
+    val batchOps = row.batchOps.toArray
+    QueryWork(row.qid, serialOps = row.approxOps, traversalSecs = traversalSecs(batchOps, threads),
+              tasks = row.tasks.toVector, batchOps = batchOps)
+  }
+
+  /** The plan of run `run` of query `qid`: the plan of its row. */
   def plan(qid: Int, run: QueryRun, threads: Int = CostModel.ThreadsPerNode): QueryWork =
-    QueryWork(qid, serialOps = run.approxOps, traversalSecs = traversalSecs(run.batchOps, threads),
-              tasks = run.pqStats.toVector, batchOps = run.batchOps)
+    plan(QueryStatRow.of(qid, run), threads)
 }

@@ -4,7 +4,7 @@ import scala.collection.mutable
 import org.apache.spark.sql.SparkSession
 import repro.core.SeriesGen
 import repro.core.SeriesGen.DatasetSpec
-import repro.index.{BuildStats, IndexConfig, QueryRun, SearchParams, ThresholdModel}
+import repro.index.{BuildStats, IndexConfig, SearchParams, ThresholdModel}
 import repro.index.ThresholdModel.SigmoidFit
 import repro.spark.{ChunkReport, DistributedSearch, QueryStatRow}
 import repro.spark.DistributedSearch.ChunkIndexes
@@ -125,7 +125,7 @@ object OdysseyCluster {
     (cfg.params, cfg.bsfShare && cfg.layout.nChunks > 1)
 
   private def checkHandle(indexes: ChunkIndexes, cfg: ClusterConfig): Unit = {
-    def named(p: Partitioner, ic: IndexConfig) = s"${p.nChunks} chunks by ${p.name}, $ic" // not a Table's map
+    def named(p: Partitioner, ic: IndexConfig) = s"${p.nChunks} chunks by ${p.name}, $ic" // not a Table's chunks
     require(cfg.chunking == indexes.chunking && cfg.indexConfig == indexes.indexConfig,
       s"config: ${named(cfg.chunking, cfg.indexConfig)}; indexes: ${named(indexes.chunking, indexes.indexConfig)}")
   }
@@ -154,7 +154,7 @@ object OdysseyCluster {
     // Stage 3: schedule and steal inside each replication group.
     val groups = reports.map { rep =>
       val byQid = rep.queries.map(q => q.qid -> q).toMap
-      val works = byQid.view.mapValues(qs => IntraNodeSim.plan(qs.qid, toRun(qs), cfg.threads)).toMap
+      val works = byQid.view.mapValues(IntraNodeSim.plan(_, cfg.threads)).toMap
       val est: Int => Double = q => predictor.map(_.predict(byQid(q).approxBsf)).getOrElse(1.0)
       StealSim.simulate(degree, works, qids, cfg.scheduler, est, steal = cfg.steal && degree > 1,
                         nSend = cfg.nSend, threads = cfg.threads, seed = 77L + rep.build.chunk)
@@ -162,18 +162,6 @@ object OdysseyCluster {
     // Stage 5: exact global answers by merging per-chunk top-k lists.
     RunResult(cfg, DistributedSearch.mergeAnswers(reports, cfg.params.k), reports, groups)
   }
-
-  /** Rehydrate a [[repro.index.QueryRun]]-shaped record from a stats row.
-    * Every touched leaf lands in exactly one priority queue, so the queues'
-    * leaf counts sum to the leaves touched.
-    */
-  private def toRun(qs: QueryStatRow): QueryRun =
-    QueryRun(
-      topK = qs.topKDists.zip(qs.topKIds).toList,
-      approxBsf = qs.approxBsf, approxOps = qs.approxOps,
-      batchOps = qs.batchOps.toArray, pqStats = qs.tasks.toArray,
-      totalOps = qs.totalOps, nLeavesTouched = qs.tasks.iterator.map(_.leaves.toLong).sum,
-      nRealDists = qs.nRealDists)
 
   /** The training pass of the predictor and TH fits: `nTrain` training
     * queries answered against a FULL (single-chunk) index of the collection.

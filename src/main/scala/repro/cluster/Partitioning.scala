@@ -1,6 +1,6 @@
 package repro.cluster
 
-import scala.collection.mutable
+import scala.collection.{immutable, mutable}
 import repro.core.{Blocks, Gray, ISax, Paa, Rng}
 import repro.core.SeriesGen.DatasetSpec
 
@@ -34,11 +34,14 @@ object Partitioning {
     }
   }
 
-  /** Explicit table-backed partitioner (result of DENSITY-AWARE / DPiSAX). */
+  /** Explicit partitioner (result of DENSITY-AWARE / DPiSAX): series id `i`
+    * goes to chunk `chunks(i)`; an id outside `chunks` has none.
+    */
   final case class Table(name: String, override val nChunks: Int,
-                         assign: Map[Long, Int]) extends Partitioner {
+                         chunks: immutable.ArraySeq[Int]) extends Partitioner {
     def chunkOf(id: Long): Int =
-      assign.getOrElse(id, throw new IllegalArgumentException(s"$name assigns no chunk to series id $id"))
+      if (id >= 0 && id < chunks.length) chunks(id.toInt)
+      else throw new IllegalArgumentException(s"$name assigns no chunk to series id $id")
   }
 
   /** DENSITY-AWARE partitioning (§3.4.1, Figs. 8–9).
@@ -59,21 +62,21 @@ object Partitioning {
     val keys = Blocks.tabulate(spec.n) { id =>
       ISax.rootKey(ISax.word(Paa.of(repro.core.SeriesGen.series(spec, id.toLong), w)))
     }
-    val buffers = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Long]]
-    keys.indices.foreach(id => buffers.getOrElseUpdate(keys(id), mutable.ArrayBuffer.empty) += id.toLong)
-    val assign = mutable.HashMap.empty[Long, Int]
+    val buffers = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
+    keys.indices.foreach(id => buffers.getOrElseUpdate(keys(id), mutable.ArrayBuffer.empty) += id)
+    val assign = Array.fill(spec.n)(-1) // an id left at -1 fails the driver's range check
     val load = new Array[Long](nChunks)
     var rr = 0
-    def splitBuffer(ids: Seq[Long]): Unit =
+    def splitBuffer(ids: Iterable[Int]): Unit =
       ids.foreach { sid => assign(sid) = rr % nChunks; load(rr % nChunks) += 1; rr += 1 }
 
     val byGray = buffers.toSeq.sortBy { case (key, _) => Gray.rank(key.toLong & 0xffffffffL) }
     val bySizeDesc = byGray.sortBy { case (_, ids) => -ids.length }
     val big = bySizeDesc.take(lambda).map(_._1).toSet
     // stage 3: λ largest buffers are split across all chunks
-    bySizeDesc.take(lambda).foreach { case (_, ids) => splitBuffer(ids.toSeq) }
+    bySizeDesc.take(lambda).foreach { case (_, ids) => splitBuffer(ids) }
     // stage 4: remaining buffers whole, Gray order, least-loaded chunk
-    val intact = mutable.ArrayBuffer.empty[(Int, mutable.ArrayBuffer[Long])] // (chunk, ids)
+    val intact = mutable.ArrayBuffer.empty[(Int, mutable.ArrayBuffer[Int])] // (chunk, ids)
     byGray.filterNot { case (key, _) => big(key) }.foreach { case (_, ids) =>
       val c = load.indices.minBy(load)
       ids.foreach(sid => assign(sid) = c)
@@ -92,10 +95,10 @@ object Partitioning {
         val ((_, ids), at) = candidates.maxBy(_._1._2.length)
         intact.remove(at)
         load(hot) -= ids.length
-        splitBuffer(ids.toSeq)
+        splitBuffer(ids)
         guard -= 1
       }
     }
-    Table("DENSITY-AWARE", nChunks, assign.toMap)
+    Table("DENSITY-AWARE", nChunks, immutable.ArraySeq.unsafeWrapArray(assign))
   }
 }

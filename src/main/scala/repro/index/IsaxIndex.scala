@@ -1,7 +1,7 @@
 package repro.index
 
 import scala.collection.immutable
-import repro.core.{Blocks, Cost, ISax, Paa}
+import repro.core.{Blocks, ISax, Paa}
 
 /** Index build configuration.
   *
@@ -181,10 +181,9 @@ object IsaxIndex {
   /** Summarize + index a chunk given as `(id, series)` pairs, inserted in
     * iteration order, as chunk 0; see the id-array form.
     */
-  def build(seriesIt: Iterator[(Long, Array[Double])], config: IndexConfig,
-            cost: Cost = new Cost): IsaxIndex = {
+  def build(seriesIt: Iterator[(Long, Array[Double])], config: IndexConfig): IsaxIndex = {
     val (ids, values) = seriesIt.toArray.unzip
-    build(0, ids, values(_), config, cost)
+    build(0, ids, values(_), config)
   }
 
   /** Summarize + index chunk `chunk`, whose position `i` holds series `ids(i)`,
@@ -194,11 +193,10 @@ object IsaxIndex {
     * place and writing only its own `w` word slots, so `seriesAt` must be a
     * pure function of `i`; the positions then enter the tree one by one in
     * order, so every leaf, split and op count is that of a sequential
-    * build. `cost` is charged one op per point for summarization and one
-    * per tree-node visit during insertion.
+    * build. [[IsaxIndex.buildStats]] counts its ops: one per point for
+    * summarization and one per tree-node visit during insertion.
     */
-  def build(chunk: Int, ids: Array[Long], seriesAt: Int => Array[Double], config: IndexConfig,
-            cost: Cost): IsaxIndex = {
+  def build(chunk: Int, ids: Array[Long], seriesAt: Int => Array[Double], config: IndexConfig): IsaxIndex = {
     require(ids.nonEmpty, "cannot build an index over an empty chunk")
     val w = config.w
     val first = seriesAt(0)
@@ -225,7 +223,6 @@ object IsaxIndex {
     val idx = new IsaxIndex(chunk, config, ids, series, words, segSizes)
     var p = 0
     while (p < ids.length) { idx.insert(p); p += 1 }
-    cost.add(idx.nSeries * idx.length + idx._treeOps)
     idx
   }
 }

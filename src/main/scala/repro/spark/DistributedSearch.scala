@@ -58,14 +58,15 @@ object DistributedSearch {
   final class ChunkIndexes private[DistributedSearch] (private[DistributedSearch] val rdd: RDD[IsaxIndex],
       val spec: DatasetSpec, val chunking: Partitioner, val indexConfig: IndexConfig)
 
-  /** The one build path: check on the driver the series length, that
-    * `chunking` is serializable and that it puts every id in a chunk
-    * `0 until nChunks`, hand the chunk indexes to `use`, built by the first
-    * job over them and reused by every later one, and release them
-    * afterwards, also when `use` throws.
+  /** The one build path: check on the driver that `chunking` has a chunk,
+    * the series length, that `chunking` is serializable and that it puts
+    * every id in a chunk `0 until nChunks`, hand the chunk indexes to `use`,
+    * built by the first job over them and reused by every later one, and
+    * release them afterwards, also when `use` throws.
     */
   def withIndexes[T](spark: SparkSession, spec: DatasetSpec, chunking: Partitioner,
                      indexConfig: IndexConfig)(use: ChunkIndexes => T): T = {
+    require(chunking.nChunks >= 1, s"partitioner ${chunking.name} has ${chunking.nChunks} chunks; it needs at least one")
     require(spec.length >= indexConfig.w,
       s"series of length ${spec.length} are shorter than the index's w = ${indexConfig.w} segments")
     checkSerializable(chunking)
@@ -119,7 +120,7 @@ object DistributedSearch {
       while (id < spec.n) { if (chunking.chunkOf(id) == chunk) owned += id; id += 1 }
       val ids = owned.result()
       if (ids.isEmpty) Iterator.empty
-      else Iterator.single(IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), indexConfig, new Cost))
+      else Iterator.single(IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), indexConfig))
     }
   }
 

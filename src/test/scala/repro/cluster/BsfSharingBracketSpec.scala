@@ -1,7 +1,7 @@
 package repro.cluster
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Cost, SeriesGen}
+import repro.core.SeriesGen
 import repro.core.SeriesGen.{DatasetSpec, presets}
 import repro.index.{IndexConfig, IsaxIndex, Search, SearchParams}
 import repro.spark.{ChunkReport, DistributedSearch, QueryStatRow}
@@ -23,7 +23,7 @@ class BsfSharingBracketSpec extends AnyFunSuite {
   private def indexes(spec: DatasetSpec, part: Partitioner): Seq[IsaxIndex] =
     (0 until part.nChunks).map { chunk =>
       val ids = (0L until n.toLong).filter(part.chunkOf(_) == chunk).toArray
-      IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), indexConfig, new Cost)
+      IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), indexConfig)
     }
 
   /** The chunk reports of every query's exact search from `bound(qid)`. */

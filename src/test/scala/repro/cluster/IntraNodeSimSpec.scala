@@ -3,6 +3,7 @@ package repro.cluster
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cluster.IntraNodeSim.QueryWork
 import repro.index.{PqStat, QueryRun}
+import repro.spark.QueryStatRow
 
 class IntraNodeSimSpec extends AnyFunSuite {
 
@@ -59,6 +60,17 @@ class IntraNodeSimSpec extends AnyFunSuite {
     assert(qw.tasks == run.pqStats.toVector)
     assert(qw.batchOps.toSeq == Seq(100L, 200L))
     assert(qw.pqOpsTotal == 3000L)
+    // the row form carries the row's fields; the run form is the plan of its row at 16 threads
+    val row = QueryStatRow.of(3, run)
+    for (t <- Seq(1, 4, 16)) {
+      val fromRow = IntraNodeSim.plan(row, t)
+      assert((fromRow.qid, fromRow.serialOps, fromRow.tasks) == (row.qid, row.approxOps, row.tasks))
+      assert(fromRow.batchOps.toSeq == row.batchOps)
+      assert(fromRow.traversalSecs == IntraNodeSim.traversalSecs(row.batchOps.toArray, t))
+    }
+    val at16 = IntraNodeSim.plan(row, 16)
+    assert((qw.qid, qw.serialOps, qw.traversalSecs, qw.tasks) == (at16.qid, at16.serialOps, at16.traversalSecs, at16.tasks))
+    assert(qw.batchOps.sameElements(at16.batchOps))
   }
 
   test("soloSecs sums the three phases") {

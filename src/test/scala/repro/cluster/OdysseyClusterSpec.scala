@@ -1,6 +1,6 @@
 package repro.cluster
 
-import scala.collection.mutable
+import scala.collection.{immutable, mutable}
 import org.apache.spark.{ListenerBusAccess, SparkException, TaskContext}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerStageCompleted, SparkListenerTaskEnd}
 import org.apache.spark.util.LongAccumulator
@@ -111,12 +111,20 @@ class OdysseyClusterSpec extends SparkSpec {
   }
 
   test("a bad chunk assignment fails on the driver, naming the series id") {
-    val missing = Partitioning.Table("T", 2, (0L until n.toLong - 1).map(_ -> 0).toMap)
-    val negative = Partitioning.Table("T", 2, (0L until n.toLong).map(id => id -> (if (id == 7) -1 else 0)).toMap)
+    val missing = Partitioning.Table("T", 2, immutable.ArraySeq.fill(n - 1)(0))
+    val negative = Partitioning.Table("T", 2, immutable.ArraySeq.tabulate(n)(id => if (id == 7) -1 else 0))
     for ((part, id) <- Seq(missing -> (n - 1), negative -> 7)) {
       val (ran, e) = seen(intercept[IllegalArgumentException](
         OdysseyCluster.run(spark, spec, queries.take(1), ClusterConfig(2, 2, _ => part))))
       assert(e.getMessage.contains(s"series id $id"), e.getMessage)
+      assert(ran.stageTasks.isEmpty, "a Spark job ran")
+      assert(spark.sparkContext.getPersistentRDDs.isEmpty)
+    }
+    // a chunking with no chunks names the partitioner and its count instead
+    for (part <- Seq[Partitioner](Partitioning.RandomShuffle(0), Partitioning.EquallySplit(n.toLong, 0))) {
+      val (ran, e) = seen(intercept[IllegalArgumentException](
+        DistributedSearch.withIndexes(spark, spec, part, IndexConfig())(_ => ())))
+      assert(e.getMessage.contains(s"partitioner ${part.name} has 0 chunks"), e.getMessage)
       assert(ran.stageTasks.isEmpty, "a Spark job ran")
       assert(spark.sparkContext.getPersistentRDDs.isEmpty)
     }

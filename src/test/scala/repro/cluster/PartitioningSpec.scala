@@ -1,5 +1,6 @@
 package repro.cluster
 
+import scala.collection.immutable
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines.Dpisax
 import repro.core.SeriesGen.presets
@@ -80,10 +81,13 @@ class PartitioningSpec extends AnyFunSuite {
     assert(maxShare(da) < maxShare(eq))
   }
 
-  test("Table partitioner answers from its map and reports its name") {
-    val t = Partitioning.Table("X", 2, Map(0L -> 0, 1L -> 1, 2L -> 0))
-    assert(t.chunkOf(1L) == 1)
-    assert(t.chunkOf(2L) == 0)
+  test("Table partitioner answers from its array, fails outside it") {
+    val t = Partitioning.Table("X", 2, immutable.ArraySeq(0, 1, 0))
+    assert((0L until 3L).map(t.chunkOf) == Seq(0, 1, 0))
+    for (id <- Seq(-1L, 3L)) {
+      val e = intercept[IllegalArgumentException](t.chunkOf(id))
+      assert(e.getMessage == s"X assigns no chunk to series id $id")
+    }
     assert(t.name == "X")
   }
 

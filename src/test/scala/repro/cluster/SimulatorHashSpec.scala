@@ -4,9 +4,9 @@ import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.cluster.IntraNodeSim.QueryWork
-import repro.core.{Cost, SeriesGen}
+import repro.core.SeriesGen
 import repro.core.SeriesGen.presets
-import repro.index.{IndexConfig, IsaxIndex, PqStat, Search, SearchParams}
+import repro.index.{IndexConfig, IsaxIndex, PqStat, QueryRun, Search, SearchParams}
 import repro.spark.{ChunkReport, QueryStatRow}
 
 /** Pins the driver-side simulator the way `SearchSpec`'s `OpCountHash`
@@ -15,7 +15,9 @@ import repro.spark.{ChunkReport, QueryStatRow}
   * collection, and every field of every `GroupResult` that
   * `StealSim.simulate` gives over fixed-seed generated groups, folded into
   * one constant. No Spark session: the chunk reports come from
-  * `Search.exact` on locally built chunk indexes.
+  * `Search.exact` on locally built chunk indexes. It also checks that the
+  * benchmark's replay (`wallbench/Sim.scala`), which plans from
+  * `QueryRun`s, gives the same groups as `simulate`, which plans from rows.
   */
 class SimulatorHashSpec extends AnyFunSuite {
 
@@ -37,10 +39,23 @@ class SimulatorHashSpec extends AnyFunSuite {
   private def reports(part: Partitioner): Seq[ChunkReport] =
     (0 until part.nChunks).map { chunk =>
       val ids = (0L until n.toLong).filter(part.chunkOf(_) == chunk).toArray
-      val index = IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), indexConfig, new Cost)
+      val index = IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), indexConfig)
       ChunkReport(index.buildStats,
                   queries.indices.map(q => QueryStatRow.of(q, Search.exact(index, queries(q), params))))
     }
+
+  private val model = Some(Prediction.LinearModel(2.0e5, 1.0e4, 1.0))
+
+  /** Each local chunking with its reports. */
+  private lazy val chunkReports: Seq[(Partitioner, Seq[ChunkReport])] =
+    Seq[Partitioner](Partitioning.RandomShuffle(1), Partitioning.RandomShuffle(2),
+                     Partitioning.EquallySplit(n.toLong, 4)).map(part => part -> reports(part))
+
+  /** Every (degree, scheduler, steal) config over `part`. */
+  private def configs(part: Partitioner): Seq[ClusterConfig] =
+    for (degree <- Seq(1, 2, 8); kind <- StealSimPropertiesSpec.kinds; steal <- Seq(false, true))
+      yield ClusterConfig(part.nChunks * degree, part.nChunks, _ => part,
+                          scheduler = kind, steal = steal, params = params, indexConfig = indexConfig)
 
   private final class Hash {
     var h = 0xcbf29ce484222325L
@@ -76,18 +91,10 @@ class SimulatorHashSpec extends AnyFunSuite {
   test("simulated runs and groups match the recorded hash") {
     val hash = new Hash
     var runSteals = 0
-    val model = Some(Prediction.LinearModel(2.0e5, 1.0e4, 1.0))
-    val chunkings = Seq[Partitioner](Partitioning.RandomShuffle(1), Partitioning.RandomShuffle(2),
-                                     Partitioning.EquallySplit(n.toLong, 4))
-    for (part <- chunkings) {
-      val reps = reports(part)
-      for (degree <- Seq(1, 2, 8); kind <- StealSimPropertiesSpec.kinds; steal <- Seq(false, true)) {
-        val cfg = ClusterConfig(part.nChunks * degree, part.nChunks, _ => part,
-                                scheduler = kind, steal = steal, params = params, indexConfig = indexConfig)
-        val r = OdysseyCluster.simulate(reps, cfg, model)
-        runSteals += r.nSteals
-        fold(hash, r)
-      }
+    for ((part, reps) <- chunkReports; cfg <- configs(part)) {
+      val r = OdysseyCluster.simulate(reps, cfg, model)
+      runSteals += r.nSteals
+      fold(hash, r)
     }
 
     var maxGroupSteals = 0
@@ -104,5 +111,32 @@ class SimulatorHashSpec extends AnyFunSuite {
     assert(runSteals > 0, "no simulated run stole")
     assert(maxGroupSteals >= 10, s"no group stole many times (at most $maxGroupSteals)")
     assert(hash.h == SimulatorHash, f"hash 0x${hash.h}%016xL")
+  }
+
+  /** A row as the `QueryRun` it was flattened from, field by field, as the
+    * benchmark's replay rebuilds it.
+    */
+  private def toRun(q: QueryStatRow): QueryRun =
+    QueryRun(q.topKDists.zip(q.topKIds).toList, q.approxBsf, q.approxOps, q.batchOps.toArray,
+             q.tasks.iterator.map(t => PqStat(t.batchId, t.topLb, t.leaves, t.procOps)).toArray,
+             q.totalOps, q.tasks.iterator.map(_.leaves.toLong).sum, q.nRealDists)
+
+  test("the benchmark's replay from rebuilt runs gives every simulated group") {
+    var steals = 0
+    for ((part, reps) <- chunkReports; cfg <- configs(part)) {
+      val degree = cfg.layout.degree
+      val qids = reps.head.queries.map(_.qid)
+      val replayed = reps.map { rep =>
+        val runs = rep.queries.map(q => q.qid -> toRun(q)).toMap
+        val works = runs.map { case (qid, run) => qid -> IntraNodeSim.plan(qid, run, cfg.threads) }
+        val est: Int => Double = q => model.map(_.predict(runs(q).approxBsf)).getOrElse(1.0)
+        StealSim.simulate(degree, works, qids, cfg.scheduler, est, steal = cfg.steal && degree > 1,
+                          nSend = cfg.nSend, threads = cfg.threads, seed = 77L + rep.build.chunk)
+      }
+      steals += replayed.map(_.nSteals).sum
+      assert(replayed == OdysseyCluster.simulate(reps, cfg, model).groups,
+             s"${part.name} of ${part.nChunks} chunks, degree $degree, ${cfg.scheduler.name}, steal=${cfg.steal}")
+    }
+    assert(steals > 0, "no replayed group stole")
   }
 }

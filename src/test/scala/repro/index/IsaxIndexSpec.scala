@@ -105,8 +105,7 @@ class IsaxIndexSpec extends AnyFunSuite {
   }
 
   test("build stats are consistent") {
-    val cost = new Cost
-    val idx = IsaxIndex.build(dataset(400).iterator, IndexConfig(w = 8, leafCapacity = 16), cost)
+    val idx = IsaxIndex.build(dataset(400).iterator, IndexConfig(w = 8, leafCapacity = 16))
     val bs = idx.buildStats
     assert(bs.chunk == 0)
     assert(bs.nSeries == 400)
@@ -114,7 +113,6 @@ class IsaxIndexSpec extends AnyFunSuite {
     assert(bs.treeOps > 0)
     assert(bs.nRoots == idx.rootsSorted.length)
     assert(bs.indexBytes > 0)
-    assert(cost.ops == bs.bufferOps + bs.treeOps)
     // leaves/inner counts match an explicit walk
     var leaves = 0; var inner = 0
     def walk(n: TreeNode): Unit = if (n.isLeaf) leaves += 1 else { inner += 1; walk(n.child0); walk(n.child1) }
@@ -140,14 +138,14 @@ class IsaxIndexSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](IsaxIndex.build(bad, IndexConfig()))
     val longChunk = Array.tabulate(1000)(i => new Array[Double](if (i == 700) 65 else 64))
     val e = intercept[IllegalArgumentException](
-      IsaxIndex.build(0, Array.tabulate(1000)(_.toLong), longChunk(_), IndexConfig(), new Cost))
+      IsaxIndex.build(0, Array.tabulate(1000)(_.toLong), longChunk(_), IndexConfig()))
     assert(e.getMessage.contains("id=700"))
   }
 
   test("empty input is rejected") {
     intercept[IllegalArgumentException](IsaxIndex.build(Iterator.empty, IndexConfig()))
     intercept[IllegalArgumentException](
-      IsaxIndex.build(0, Array.empty[Long], _ => new Array[Double](64), IndexConfig(), new Cost))
+      IsaxIndex.build(0, Array.empty[Long], _ => new Array[Double](64), IndexConfig()))
   }
 
   /** Everything a build decides: root keys, each leaf's id sequence, stats. */
@@ -159,7 +157,7 @@ class IsaxIndexSpec extends AnyFunSuite {
   private val seismic = presets.byName("Seismic", 4096)
   private val tightConfig = IndexConfig(w = 8, leafCapacity = 8)
   private def seismicBuild(): IsaxIndex =
-    IsaxIndex.build(0, Array.tabulate(4096)(_.toLong), i => SeriesGen.series(seismic, i.toLong), tightConfig, new Cost)
+    IsaxIndex.build(0, Array.tabulate(4096)(_.toLong), i => SeriesGen.series(seismic, i.toLong), tightConfig)
 
   test("every leaf holds its entries in strictly ascending id order") {
     val (_, leaves, stats) = shape(seismicBuild())
@@ -188,7 +186,7 @@ class IsaxIndexSpec extends AnyFunSuite {
       IsaxIndex.build(0, Array.tabulate(4096)(_.toLong), { i =>
         require(i != 3001, "no series at position 3001")
         SeriesGen.series(seismic, i.toLong)
-      }, tightConfig, new Cost))
+      }, tightConfig))
     assert(e.getMessage.contains("no series at position 3001"))
   }
 
@@ -256,8 +254,7 @@ class IsaxIndexSpec extends AnyFunSuite {
   test("Spark's size estimate of an index counts at least its raw series") {
     val n = 16384
     val spec = presets.random(n)
-    val idx = IsaxIndex.build(0, Array.tabulate(n)(_.toLong), i => SeriesGen.series(spec, i.toLong),
-                              IndexConfig(), new Cost)
+    val idx = IsaxIndex.build(0, Array.tabulate(n)(_.toLong), i => SeriesGen.series(spec, i.toLong), IndexConfig())
     val raw = n.toLong * spec.length * 8
     val estimate = org.apache.spark.util.SizeEstimator.estimate(idx)
     assert(estimate >= raw, s"estimate $estimate < raw series bytes $raw")

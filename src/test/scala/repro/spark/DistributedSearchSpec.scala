@@ -1,7 +1,7 @@
 package repro.spark
 
 import repro.{Oracle, SparkSpec}
-import repro.core.{Cost, SeriesGen}
+import repro.core.SeriesGen
 import repro.core.SeriesGen.presets
 import repro.baselines.Dpisax
 import repro.cluster.{Partitioner, Partitioning}
@@ -105,7 +105,7 @@ class DistributedSearchSpec extends SparkSpec {
       reports.foreach { rep =>
         val chunk = rep.build.chunk
         val ids = (0L until n.toLong).filter(id => part.chunkOf(id) == chunk).toArray
-        val index = IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), IndexConfig(), new Cost)
+        val index = IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), IndexConfig())
         assert(rep.build == index.buildStats)
         assert(rep.queries == queries.indices.map(q => QueryStatRow.of(q, Search.exact(index, queries(q), params))))
       }
