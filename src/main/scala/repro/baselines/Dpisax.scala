@@ -19,15 +19,16 @@ import repro.core.SeriesGen.DatasetSpec
   * by the sample; repeatedly split the heaviest bucket by promoting the
   * cardinality of its least-refined segment until there are at least
   * `nChunks` buckets; then greedily bin-pack buckets (largest first) onto
-  * the least-loaded chunk. Series in regions unseen in the sample follow
-  * their nearest (longest-prefix) bucket. Words and chunks are computed in
+  * the least-loaded chunk. Splits keep the regions disjoint, so a series
+  * matches one bucket, or none if the sample never saw its root word, and
+  * is then hashed by that word. Words and chunks are computed in
   * parallel [[repro.core.Blocks]], by sample or id position, and consumed
   * in that order.
   */
 object Dpisax {
 
   /** A region of iSAX space: per-segment (symbol, bits) prefix + sample load. */
-  private final case class Bucket(word: Array[Int], bits: Array[Int], var size: Int) {
+  private final class Bucket(val word: Array[Int], val bits: Array[Int], var size: Int) {
     def matches(sax: Array[Int]): Boolean = {
       var i = 0
       while (i < word.length) {
@@ -36,7 +37,6 @@ object Dpisax {
       }
       true
     }
-    def depth: Int = bits.sum
   }
 
   def partition(spec: DatasetSpec, nChunks: Int, w: Int): Partitioning.Table = {
@@ -55,7 +55,7 @@ object Dpisax {
     sampleSax.foreach { sax =>
       val word = sax.map(_ >>> (ISax.MaxBits - 1))
       val key  = ISax.rootKey(sax)
-      val b = seedMap.getOrElseUpdate(key, Bucket(word, Array.fill(w)(1), 0))
+      val b = seedMap.getOrElseUpdate(key, new Bucket(word, Array.fill(w)(1), 0))
       b.size += 1
     }
     val buckets = mutable.ArrayBuffer.empty[Bucket] ++ seedMap.values
@@ -75,7 +75,7 @@ object Dpisax {
         val mk = (bit: Int) => {
           val w2 = heavy.word.clone(); val b2 = heavy.bits.clone()
           w2(seg) = heavy.word(seg) * 2 + bit; b2(seg) = nb
-          Bucket(w2, b2, 0)
+          new Bucket(w2, b2, 0)
         }
         val c0 = mk(0); val c1 = mk(1)
         sampleSax.foreach { sax =>
@@ -87,19 +87,17 @@ object Dpisax {
 
     // bin-pack buckets to chunks, largest first onto least loaded
     val load = new Array[Long](nChunks)
-    val chunkOfBucket = mutable.HashMap.empty[Bucket, Int]
-    buckets.sortBy(-_.size).foreach { b =>
+    val chunkOfBucket = new Array[Int](buckets.length)
+    buckets.indices.sortBy(i => -buckets(i).size).foreach { i =>
       val c = load.indices.minBy(load)
-      chunkOfBucket(b) = c
-      load(c) += b.size
+      chunkOfBucket(i) = c
+      load(c) += buckets(i).size
     }
-    // deepest matching bucket wins; unseen regions fall to the shallowest match
-    val ordered = buckets.sortBy(-_.depth).toArray
-    def chunkOfSax(sax: Array[Int]): Int =
-      ordered.find(_.matches(sax)).map(chunkOfBucket).getOrElse {
-        // no prefix matches (region empty in the sample): hash for coverage
-        (ISax.rootKey(sax) % nChunks + nChunks) % nChunks
-      }
+    def chunkOfSax(sax: Array[Int]): Int = {
+      val i = buckets.indexWhere(_.matches(sax))
+      if (i >= 0) chunkOfBucket(i)
+      else (ISax.rootKey(sax) % nChunks + nChunks) % nChunks // root word unseen in the sample
+    }
     val chunks = Blocks.tabulate(spec.n)(id => chunkOfSax(saxOf(id.toLong)))
     Partitioning.Table("DPISAX", nChunks, immutable.ArraySeq.unsafeWrapArray(chunks))
   }

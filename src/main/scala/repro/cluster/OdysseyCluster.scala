@@ -14,7 +14,7 @@ import repro.spark.DistributedSearch.ChunkIndexes
   *
   * @param nNodes      system nodes
   * @param k           PARTIAL-k replication (1 = FULL, nNodes = EQUALLY-SPLIT)
-  * @param partitioner chunk assignment builder, given the chunk count
+  * @param partitioner the chunking for a chunk count (see [[chunking]]), evaluated on the driver only
   * @param scheduler   intra-group query scheduler
   * @param steal       enable inter-node work stealing inside groups
   * @param bsfShare    share initial BSFs across replication groups (the

@@ -4,15 +4,30 @@ import scala.collection.{immutable, mutable}
 import repro.core.{Blocks, Gray, ISax, Paa, Rng}
 import repro.core.SeriesGen.DatasetSpec
 
-/** Assignment of series ids to chunks (one chunk per replication group). A value:
-  * two that assign alike are `==` (the ones below are case classes), so one keys a build. */
-trait Partitioner extends Serializable {
+/** Assignment of series ids to chunks (one chunk per replication group), which the pipeline reads
+  * only through [[Partitioning.members]]. A value: two that assign alike are `==` (the ones below
+  * are case classes), so one keys a build. */
+trait Partitioner {
   def name: String
   def nChunks: Int
   def chunkOf(id: Long): Int
 }
 
 object Partitioning {
+
+  /** Each chunk's ids among `0 until n`, ascending, from one pass: the one place the pipeline
+    * evaluates a partitioner. A chunk outside `0 until nChunks` fails, naming the series id. */
+  def members(chunking: Partitioner, n: Long): Array[Array[Long]] = {
+    val owned = Array.fill(chunking.nChunks)(new mutable.ArrayBuilder.ofLong)
+    var id = 0L
+    while (id < n) {
+      val chunk = chunking.chunkOf(id)
+      require(chunk >= 0 && chunk < chunking.nChunks, s"chunk $chunk of ${chunking.nChunks} for series id $id")
+      owned(chunk) += id
+      id += 1
+    }
+    owned.map(_.result())
+  }
 
   /** EQUALLY-SPLIT: contiguous blocks of the collection's raw order.
     * With cluster-contiguous generators this co-locates similar series —
@@ -64,7 +79,7 @@ object Partitioning {
     }
     val buffers = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
     keys.indices.foreach(id => buffers.getOrElseUpdate(keys(id), mutable.ArrayBuffer.empty) += id)
-    val assign = Array.fill(spec.n)(-1) // an id left at -1 fails the driver's range check
+    val assign = Array.fill(spec.n)(-1) // an id left at -1 fails `members`
     val load = new Array[Long](nChunks)
     var rr = 0
     def splitBuffer(ids: Iterable[Int]): Unit =

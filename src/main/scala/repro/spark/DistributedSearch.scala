@@ -1,11 +1,11 @@
 package repro.spark
 
-import java.io.{NotSerializableException, ObjectOutputStream, OutputStream}
+import scala.collection.immutable
 import org.apache.spark.TaskContext
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
-import repro.cluster.Partitioner
+import repro.cluster.{Partitioner, Partitioning}
 import repro.core.{Cost, SeriesGen}
 import repro.core.SeriesGen.DatasetSpec
 import repro.index.{BuildStats, IndexConfig, IsaxIndex, PqStat, QueryCtx, QueryRun, Search, SearchParams}
@@ -49,46 +49,30 @@ object DistributedSearch {
   def run(spark: SparkSession, spec: DatasetSpec, chunkOf: Long => Int,
           queries: Array[Array[Double]], params: SearchParams,
           indexConfig: IndexConfig = IndexConfig()): Seq[ChunkReport] = {
-    val (assign, chunks) = (chunkOf, (0L until spec.n).iterator.map(chunkOf).max + 1)
-    val chunking = new Partitioner { def name = "chunkOf"; def nChunks = chunks; def chunkOf(id: Long) = assign(id) }
-    withIndexes(spark, spec, chunking, indexConfig)(answer(_, queries, params, Map.empty))
+    val chunks = immutable.ArraySeq.tabulate(spec.n)(id => chunkOf(id.toLong))
+    withIndexes(spark, spec, Partitioning.Table("chunkOf", chunks.max + 1, chunks), indexConfig)(
+      answer(_, queries, params, Map.empty))
   }
 
   /** The cached chunk indexes of one build; only [[withIndexes]] makes one. */
   final class ChunkIndexes private[DistributedSearch] (private[DistributedSearch] val rdd: RDD[IsaxIndex],
       val spec: DatasetSpec, val chunking: Partitioner, val indexConfig: IndexConfig)
 
-  /** The one build path: check on the driver that `chunking` has a chunk,
-    * the series length, that `chunking` is serializable and that it puts
-    * every id in a chunk `0 until nChunks`, hand the chunk indexes to `use`,
-    * built by the first job over them and reused by every later one, and
-    * release them afterwards, also when `use` throws.
+  /** The one build path: check on the driver that `chunking` has a chunk
+    * and the series length, take each chunk's ids from
+    * [[Partitioning.members]], hand the chunk indexes to `use`, built by the
+    * first job over them and reused by every later one, and release them
+    * afterwards, also when `use` throws.
     */
   def withIndexes[T](spark: SparkSession, spec: DatasetSpec, chunking: Partitioner,
                      indexConfig: IndexConfig)(use: ChunkIndexes => T): T = {
     require(chunking.nChunks >= 1, s"partitioner ${chunking.name} has ${chunking.nChunks} chunks; it needs at least one")
     require(spec.length >= indexConfig.w,
       s"series of length ${spec.length} are shorter than the index's w = ${indexConfig.w} segments")
-    checkSerializable(chunking)
-    var id = 0L
-    while (id < spec.n) {
-      val chunk = chunking.chunkOf(id)
-      require(chunk >= 0 && chunk < chunking.nChunks, s"chunk $chunk of ${chunking.nChunks} for series id $id")
-      id += 1
-    }
-    val indexes = new ChunkIndexes(buildIndexes(spark, spec, chunking, indexConfig), spec, chunking, indexConfig)
+    val members = Partitioning.members(chunking, spec.n)
+    val indexes = new ChunkIndexes(buildIndexes(spark, spec, members, indexConfig), spec, chunking, indexConfig)
     try use(indexes) finally indexes.rdd.unpersist(blocking = true)
   }
-
-  /** The build task ships `chunking`; one that cannot be serialized fails
-    * here, naming it and the class at fault, rather than inside Spark.
-    */
-  private def checkSerializable(chunking: Partitioner): Unit =
-    try new ObjectOutputStream(OutputStream.nullOutputStream()).writeObject(chunking)
-    catch {
-      case e: NotSerializableException => throw new IllegalArgumentException(
-        s"partitioner ${chunking.name} of ${chunking.nChunks} chunks is not serializable: ${e.getMessage}", e)
-    }
 
   /** Every query must have `spec.length` values, all of them finite. */
   private def checkQueries(spec: DatasetSpec, queries: Array[Array[Double]]): Unit =
@@ -98,27 +82,24 @@ object DistributedSearch {
     }
 
   /** Build one index per chunk, one task per chunk, cached in memory by the
-    * first job that uses it. Each task hands `IsaxIndex.build` exactly the
-    * ids its chunk owns, in ascending order, and generates each series
-    * inside the build's parallel summarization (`SeriesGen.series` is a pure
-    * function of `(spec, id)`); the build inserts in that id order, on which
-    * leaf entry order, and so every op count, depends. A chunk that owns no
-    * series emits no index.
+    * first job that uses it. Partition `c` holds the one element `(c,
+    * members(c))`, so each task hands `IsaxIndex.build` exactly the ids its
+    * chunk owns, in ascending order, and generates each series inside the
+    * build's parallel summarization (`SeriesGen.series` is a pure function
+    * of `(spec, id)`); the build inserts in that id order, on which leaf
+    * entry order, and so every op count, depends.
     */
-  private def buildIndexes(spark: SparkSession, spec: DatasetSpec, chunking: Partitioner,
+  private def buildIndexes(spark: SparkSession, spec: DatasetSpec, members: Array[Array[Long]],
                            indexConfig: IndexConfig): RDD[IsaxIndex] =
-    spark.sparkContext.parallelize(0 until chunking.nChunks, chunking.nChunks)
-      .flatMap(new BuildTask(spec, chunking, indexConfig))
+    spark.sparkContext.parallelize(members.indices.map(c => (c, members(c))), members.length)
+      .flatMap(new BuildTask(spec, indexConfig))
       .persist(StorageLevel.MEMORY_ONLY)
 
   /** One chunk's index, or none; named, like [[ChunkTask]], so its fields are all that ships. */
-  private final class BuildTask(spec: DatasetSpec, chunking: Partitioner, indexConfig: IndexConfig)
-      extends (Int => Iterator[IsaxIndex]) with Serializable {
-    def apply(chunk: Int): Iterator[IsaxIndex] = {
-      val owned = new scala.collection.mutable.ArrayBuilder.ofLong
-      var id = 0L
-      while (id < spec.n) { if (chunking.chunkOf(id) == chunk) owned += id; id += 1 }
-      val ids = owned.result()
+  private final class BuildTask(spec: DatasetSpec, indexConfig: IndexConfig)
+      extends (((Int, Array[Long])) => Iterator[IsaxIndex]) with Serializable {
+    def apply(chunkIds: (Int, Array[Long])): Iterator[IsaxIndex] = {
+      val (chunk, ids) = chunkIds
       if (ids.isEmpty) Iterator.empty
       else Iterator.single(IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), indexConfig))
     }

@@ -17,8 +17,8 @@ object SeriesFrame {
 
   /** The collection as a Dataset, with chunk assignment applied: the
     * DataFrame entry point to a collection, and what the wall-clock
-    * benchmark times as series generation. `chunkOf` must be a serializable
-    * pure function (all [[repro.cluster.Partitioner]]s are).
+    * benchmark times as series generation. `chunkOf` ships to the tasks: a
+    * serializable pure function, as a case-class partitioner's `chunkOf` is.
     */
   def seriesDs(spark: SparkSession, spec: DatasetSpec,
                chunkOf: Long => Int): Dataset[SeriesRow] = {

@@ -21,8 +21,7 @@ class BsfSharingBracketSpec extends AnyFunSuite {
   private val indexConfig = IndexConfig(w = 8, leafCapacity = 32)
 
   private def indexes(spec: DatasetSpec, part: Partitioner): Seq[IsaxIndex] =
-    (0 until part.nChunks).map { chunk =>
-      val ids = (0L until n.toLong).filter(part.chunkOf(_) == chunk).toArray
+    Partitioning.members(part, n).toSeq.zipWithIndex.map { case (ids, chunk) =>
       IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), indexConfig)
     }
 

@@ -1,9 +1,9 @@
 package repro.cluster
 
+import java.io.{NotSerializableException, ObjectOutputStream, OutputStream}
 import scala.collection.{immutable, mutable}
-import org.apache.spark.{ListenerBusAccess, SparkException, TaskContext}
+import org.apache.spark.{ListenerBusAccess, TaskContext}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerStageCompleted, SparkListenerTaskEnd}
-import org.apache.spark.util.LongAccumulator
 import repro.SparkSpec
 import repro.baselines.{Competitors, Dpisax}
 import repro.core.SeriesGen
@@ -26,18 +26,23 @@ class OdysseyClusterSpec extends SparkSpec {
 
   private lazy val predictor = OdysseyCluster.trainPredictor(spark, spec, nTrain = 10)
 
-  /** What Spark ran while `body` ran: shuffle bytes written plus read, and
-    * each completed stage's task count in stage order.
+  /** What Spark ran while `body` ran: shuffle bytes written plus read, each
+    * completed stage's task count in stage order, and the tasks that read no
+    * cached block. Over a handle those are the ones that built its indexes:
+    * Spark adds a cached block's bytes to `bytesRead` only on a cache hit.
     */
   private final class Seen extends SparkListener {
     var shuffleBytes = 0L
+    var builds = 0
     private val stages = mutable.SortedMap.empty[Int, Int]
     def stageTasks: Seq[Int] = synchronized(stages.values.toSeq)
     override def onStageCompleted(e: SparkListenerStageCompleted): Unit =
       synchronized(stages(e.stageInfo.stageId) = e.stageInfo.numTasks)
     override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
-      if (e.taskMetrics != null)
+      if (e.taskMetrics != null) {
         shuffleBytes += e.taskMetrics.shuffleWriteMetrics.bytesWritten + e.taskMetrics.shuffleReadMetrics.totalBytesRead
+        if (e.taskMetrics.inputMetrics.bytesRead == 0) builds += 1
+      }
     }
   }
 
@@ -113,7 +118,8 @@ class OdysseyClusterSpec extends SparkSpec {
   test("a bad chunk assignment fails on the driver, naming the series id") {
     val missing = Partitioning.Table("T", 2, immutable.ArraySeq.fill(n - 1)(0))
     val negative = Partitioning.Table("T", 2, immutable.ArraySeq.tabulate(n)(id => if (id == 7) -1 else 0))
-    for ((part, id) <- Seq(missing -> (n - 1), negative -> 7)) {
+    val beyond = Partitioning.Table("T", 2, immutable.ArraySeq.tabulate(n)(id => if (id == 9) 2 else 0))
+    for ((part, id) <- Seq(missing -> (n - 1), negative -> 7, beyond -> 9)) {
       val (ran, e) = seen(intercept[IllegalArgumentException](
         OdysseyCluster.run(spark, spec, queries.take(1), ClusterConfig(2, 2, _ => part))))
       assert(e.getMessage.contains(s"series id $id"), e.getMessage)
@@ -130,19 +136,16 @@ class OdysseyClusterSpec extends SparkSpec {
     }
   }
 
-  test("a partitioner that cannot be serialized fails on the driver, naming it and the class") {
-    val opaque = new OdysseyClusterSpec.Opaque
-    for ((body, name) <- Seq[(() => Any, String)](
-           (() => OdysseyCluster.run(spark, spec, queries.take(1), ClusterConfig(2, 2, OdysseyClusterSpec.HoldsOpaque(_))))
-             -> "HOLDS-OPAQUE of 2 chunks",
-           (() => DistributedSearch.run(spark, spec, opaque.chunkOf, queries.take(1), SearchParams()))
-             -> "chunkOf of 2 chunks")) {
-      val (ran, e) = seen(intercept[IllegalArgumentException](body()))
-      assert(e.getMessage.contains(s"partitioner $name") && e.getMessage.contains(classOf[OdysseyClusterSpec.Opaque].getName),
-        e.getMessage)
-      assert(ran.stageTasks.isEmpty, "a Spark job ran")
-      assert(spark.sparkContext.getPersistentRDDs.isEmpty)
-    }
+  test("a partitioner that cannot be serialized runs only on the driver and answers as RandomShuffle does") {
+    val driverOnly = OdysseyClusterSpec.DriverOnly(2)
+    intercept[NotSerializableException](new ObjectOutputStream(OutputStream.nullOutputStream()).writeObject(driverOnly))
+    val cfg = ClusterConfig(4, 2, eqSplit)
+    val expected = OdysseyCluster.run(spark, spec, queries, cfg)
+    val res = OdysseyCluster.run(spark, spec, queries, cfg.copy(partitioner = OdysseyClusterSpec.DriverOnly(_)))
+    assert(res.copy(config = cfg) == expected)
+    queries.indices.foreach(q => assert(math.abs(res.answers(q).head._1 - brute(q)) < 1e-9, s"q=$q"))
+    assert(DistributedSearch.run(spark, spec, driverOnly.chunkOf, queries, SearchParams()) ==
+             DistributedSearch.run(spark, spec, eqSplit(2).chunkOf, queries, SearchParams()))
   }
 
   test("series shorter than the index's w fail on the driver, naming both") {
@@ -173,45 +176,34 @@ class OdysseyClusterSpec extends SparkSpec {
   test("cached chunk indexes are released after every run, also a failing one") {
     def cached = spark.sparkContext.getPersistentRDDs
     val cfg = ClusterConfig(4, 2, eqSplit)
-    val chunkOf = eqSplit(2).chunkOf _
     OdysseyCluster.run(spark, spec, queries.take(2), cfg)
     assert(cached.isEmpty)
     OdysseyCluster.withIndexes(spark, spec, cfg)(OdysseyCluster.measure(_, queries.take(2), cfg))
     assert(cached.isEmpty)
-    DistributedSearch.run(spark, spec, chunkOf, queries.take(2), SearchParams())
-    assert(cached.isEmpty)
-    val failing = cfg.copy(partitioner = OdysseyClusterSpec.FailsInTask(_))
-    intercept[SparkException](OdysseyCluster.run(spark, spec, queries.take(2), failing))
-    assert(cached.isEmpty)
-    intercept[SparkException](
-      OdysseyCluster.withIndexes(spark, spec, failing)(OdysseyCluster.measure(_, queries.take(2), failing)))
+    DistributedSearch.run(spark, spec, eqSplit(2).chunkOf, queries.take(2), SearchParams())
     assert(cached.isEmpty)
     intercept[IllegalStateException](OdysseyCluster.withIndexes(spark, spec, cfg) { indexes =>
       OdysseyCluster.measure(indexes, queries.take(2), cfg) // builds and caches the indexes
       throw new IllegalStateException("after a job")
     })
     assert(cached.isEmpty)
-    val failingChunkOf = failing.partitioner(2).chunkOf _
-    intercept[SparkException](DistributedSearch.run(spark, spec, failingChunkOf, queries.take(2), SearchParams()))
-    assert(cached.isEmpty)
   }
 
   test("one handle builds each chunk once, however many jobs run over it") {
-    val calls = spark.sparkContext.longAccumulator("chunkOf calls in tasks")
-    val split = ClusterConfig(4, 4, OdysseyClusterSpec.CountsInTask(_, calls))
-    OdysseyCluster.withIndexes(spark, spec, split) { indexes =>
+    val split = ClusterConfig(4, 4, eqSplit)
+    val (splitRan, _) = seen(OdysseyCluster.withIndexes(spark, spec, split) { indexes =>
       for (qs <- Seq(queries.take(3), queries.drop(3)); share <- Seq(true, false))
         OdysseyCluster.measure(indexes, qs, split.copy(bsfShare = share))
-    }
-    assert(calls.value == n * 4L) // one build task per chunk, each reading every id once
-    calls.reset()
-    val full = ClusterConfig(1, 1, OdysseyClusterSpec.CountsInTask(_, calls))
-    OdysseyCluster.withIndexes(spark, spec, full) { indexes =>
+    })
+    assert(splitRan.stageTasks == Seq.fill(6)(4)) // two sharing measurements of two jobs, two of one
+    assert(splitRan.builds == 4)
+    val full = ClusterConfig(1, 1, eqSplit)
+    val (fullRan, _) = seen(OdysseyCluster.withIndexes(spark, spec, full) { indexes =>
       OdysseyCluster.trainingRows(indexes, 6, SearchParams())
       OdysseyCluster.trainingRows(indexes, 4, SearchParams(threshold = 16))
       OdysseyCluster.measure(indexes, queries, full.copy(nNodes = 4))
-    }
-    assert(calls.value == n.toLong)
+    })
+    assert(fullRan.stageTasks.size > 1 && fullRan.builds == 1)
   }
 
   test("a handle refuses a config of another chunk count or index config before any stage") {
@@ -246,15 +238,13 @@ class OdysseyClusterSpec extends SparkSpec {
   }
 
   test("the Spark grid form builds once per distinct chunking and equals per-config runs") {
-    val calls = spark.sparkContext.longAccumulator("chunkOf calls in tasks")
-    val counted: Int => Partitioner = OdysseyClusterSpec.CountsInTask(_, calls)
     // chunkings of 1, 2 and 4 chunks, the 2-chunk one (4 nodes, PARTIAL-2) twice
-    val grid = Seq(ClusterConfig(4, 2, counted), ClusterConfig(4, 4, counted, steal = false),
-                   ClusterConfig(2, 1, counted, bsfShare = false), ClusterConfig(4, 2, counted, Static))
+    val grid = Seq(ClusterConfig(4, 2, eqSplit), ClusterConfig(4, 4, eqSplit, steal = false),
+                   ClusterConfig(2, 1, eqSplit, bsfShare = false), ClusterConfig(4, 2, eqSplit, Static))
     val expected = grid.map(OdysseyCluster.run(spark, spec, queries, _))
-    calls.reset()
-    assert(OdysseyCluster.run(spark, spec, queries, grid, None) == expected)
-    assert(calls.value == n * (1L + 2 + 4)) // each build task reads every id once
+    val (ran, results) = seen(OdysseyCluster.run(spark, spec, queries, grid, None))
+    assert(results == expected)
+    assert(ran.builds == 1 + 2 + 4)
   }
 
   /** Fig. 10 at test scale: its seven (scheduler, steal) rows and its FULL
@@ -470,42 +460,16 @@ class OdysseyClusterSpec extends SparkSpec {
 
 object OdysseyClusterSpec {
 
-  /** RandomShuffle whose assignment of series id 7 throws inside a Spark
-    * task only, so the driver-side checks pass and the build then fails.
+  /** RandomShuffle that only the driver can evaluate: it holds a field Java
+    * serialization refuses, and its assignment throws inside a Spark task.
     */
-  final case class FailsInTask(k: Int) extends Partitioner {
+  final case class DriverOnly(k: Int) extends Partitioner {
     private val base = Partitioning.RandomShuffle(k)
-    def name = "FAILS-IN-TASK"
+    private val unserializable = new Object // java.lang.Object is not Serializable
+    def name = "DRIVER-ONLY"
     def nChunks: Int = k
     def chunkOf(id: Long): Int = {
-      if (id == 7 && TaskContext.get() != null) throw new IllegalStateException("in task")
-      base.chunkOf(id)
-    }
-  }
-
-  /** A class that is not serializable, with a 2-chunk assignment. */
-  final class Opaque {
-    def chunkOf(id: Long): Int = (id % 2).toInt
-  }
-
-  /** RandomShuffle holding a field that cannot be serialized. */
-  final case class HoldsOpaque(k: Int) extends Partitioner {
-    private val base = Partitioning.RandomShuffle(k)
-    val opaque = new Opaque
-    def name = "HOLDS-OPAQUE"
-    def nChunks: Int = k
-    def chunkOf(id: Long): Int = base.chunkOf(id)
-  }
-
-  /** RandomShuffle that counts, in `calls`, each assignment read inside a
-    * Spark task, so a test can count the build tasks' reads of it.
-    */
-  final case class CountsInTask(k: Int, calls: LongAccumulator) extends Partitioner {
-    private val base = Partitioning.RandomShuffle(k)
-    def name = "COUNTS-IN-TASK"
-    def nChunks: Int = k
-    def chunkOf(id: Long): Int = {
-      if (TaskContext.get() != null) calls.add(1)
+      if (TaskContext.get() != null) throw new IllegalStateException(s"$name read in a task")
       base.chunkOf(id)
     }
   }

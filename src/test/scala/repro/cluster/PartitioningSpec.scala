@@ -91,6 +91,26 @@ class PartitioningSpec extends AnyFunSuite {
     assert(t.name == "X")
   }
 
+  test("members puts every id in its one chunk, ascending, and gives a chunk that owns none no ids") {
+    val t = Partitioning.Table("X", 4, immutable.ArraySeq(2, 0, 2, 0, 3))
+    assert(Partitioning.members(t, 5).map(_.toSeq).toSeq == Seq(Seq(1L, 3L), Seq(), Seq(0L, 2L), Seq(4L)))
+    for (p <- Seq[Partitioner](Partitioning.RandomShuffle(4), Partitioning.EquallySplit(1000, 4))) {
+      val members = Partitioning.members(p, 1000)
+      assert(members.length == 4)
+      members.foreach(ids => assert(ids.toSeq == ids.sorted.toSeq, p.name))
+      assert(members.flatten.sorted.toSeq == (0L until 1000L), p.name)
+      members.indices.foreach(c => assert(members(c).forall(p.chunkOf(_) == c), p.name))
+    }
+  }
+
+  test("members fails on a chunk outside 0 until nChunks, naming the series id") {
+    for (bad <- Seq(-1, 2)) {
+      val t = Partitioning.Table("X", 2, immutable.ArraySeq(0, 1, bad, 0))
+      val e = intercept[IllegalArgumentException](Partitioning.members(t, 4))
+      assert(e.getMessage.contains(s"chunk $bad of 2 for series id 2"), e.getMessage)
+    }
+  }
+
   test("partitioner names are stable") {
     assert(Partitioning.EquallySplit(10, 2).name == "EQUALLY-SPLIT")
     assert(Partitioning.RandomShuffle(2).name == "EQUALLY-SPLIT-RS")

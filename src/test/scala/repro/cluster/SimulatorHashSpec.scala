@@ -37,8 +37,7 @@ class SimulatorHashSpec extends AnyFunSuite {
     * with the BSF channel off.
     */
   private def reports(part: Partitioner): Seq[ChunkReport] =
-    (0 until part.nChunks).map { chunk =>
-      val ids = (0L until n.toLong).filter(part.chunkOf(_) == chunk).toArray
+    Partitioning.members(part, n).toSeq.zipWithIndex.map { case (ids, chunk) =>
       val index = IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), indexConfig)
       ChunkReport(index.buildStats,
                   queries.indices.map(q => QueryStatRow.of(q, Search.exact(index, queries(q), params))))
