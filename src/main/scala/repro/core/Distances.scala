@@ -2,7 +2,8 @@ package repro.core
 
 /** Whole-matching distance kernels: Euclidean (plain and early-abandoning),
   * LB_Keogh, and Sakoe–Chiba-banded Dynamic Time Warping. Every kernel
-  * charges the [[Cost]] counter with the points / DP cells it touches.
+  * charges the [[Cost]] counter with the points / DP cells it touches,
+  * except the paired ED, which reports them to its caller.
   */
 object Distances {
 
@@ -30,6 +31,56 @@ object Distances {
     }
     cost.add(a.length)
     math.sqrt(acc)
+  }
+
+  /** [[edEarlyAbandon]] of `q` against `a` and against `b` in lock step: two
+    * independent sums, so two FP chains and two memory streams run at once.
+    * Each lane adds its terms in [[edEarlyAbandon]]'s order and stops where
+    * it would; once one lane stops the other runs on alone. Writes lane A's
+    * (distance, points touched) to `out(0)`, `out(1)` and lane B's to
+    * `out(2)`, `out(3)`; the caller charges the points it keeps.
+    */
+  def edEarlyAbandonPair(q: Array[Double], a: Array[Double], b: Array[Double],
+                         bound: Double, out: Array[Double]): Unit = {
+    val b2 = bound * bound
+    var accA = 0.0
+    var accB = 0.0
+    var i = 0
+    while (i < q.length) {
+      val qi = q(i)
+      val da = qi - a(i)
+      val db = qi - b(i)
+      accA += da * da
+      accB += db * db
+      i += 1
+      if (accA > b2) {
+        out(0) = Double.PositiveInfinity; out(1) = i
+        if (accB > b2) { out(2) = Double.PositiveInfinity; out(3) = i }
+        else finishLane(q, b, i, accB, b2, out, 2)
+        return
+      }
+      if (accB > b2) {
+        out(2) = Double.PositiveInfinity; out(3) = i
+        finishLane(q, a, i, accA, b2, out, 0)
+        return
+      }
+    }
+    out(0) = math.sqrt(accA); out(1) = q.length
+    out(2) = math.sqrt(accB); out(3) = q.length
+  }
+
+  /** One lane of [[edEarlyAbandonPair]] on its own from point `from`. */
+  private def finishLane(q: Array[Double], s: Array[Double], from: Int, acc0: Double,
+                         b2: Double, out: Array[Double], at: Int): Unit = {
+    var acc = acc0
+    var i = from
+    while (i < q.length) {
+      val d = q(i) - s(i)
+      acc += d * d
+      i += 1
+      if (acc > b2) { out(at) = Double.PositiveInfinity; out(at + 1) = i; return }
+    }
+    out(at) = math.sqrt(acc); out(at + 1) = q.length
   }
 
   /** LB_Keogh envelope of `q` with warping radius `r` (Sakoe–Chiba):

@@ -290,7 +290,8 @@ object Search {
   /** Exact search (§3.2.1): approximate phase for the initial BSF, tree
     * traversal per RS-batch populating size-thresholded priority queues,
     * PQ array sorted by top priority, then in-order PQ processing with
-    * per-series lower-bound filtering and early-abandoning real distances.
+    * per-series lower-bound filtering and early-abandoning real distances,
+    * ED ones two candidates at a time with the op counts of one at a time.
     * Every node and entry lower bound is a few reads of the query's
     * `lbTable`.
     *
@@ -377,6 +378,13 @@ object Search {
     stableSortBy(tops, queueOrder, 0, nQueues, scratch)
 
     // ---- PQ processing phase ----
+    // Per leaf, every entry's lower bound first (it does not depend on the
+    // BSF); then ED candidates two at a time in lock step, settled in entry
+    // order as the sequential loop would have seen them (DESIGN.md, *PQ
+    // processing in pairs*). A leftover candidate and DTW run alone.
+    val paired = params.mode == Euclidean
+    var entryLbs = new Array[Double](index.config.leafCapacity)
+    val lanes = new Array[Double](4)
     var nReal = 0L
     val stats = new Array[PqStat](nQueues)
     var p = 0
@@ -392,16 +400,41 @@ object Search {
         else {
           val node = queues.leaves(leaf)
           val positions = node.positions
+          val size = node.size
+          if (entryLbs.length < size) entryLbs = new Array[Double](size)
+          cost.add(w.toLong * size)
           var ei = 0
-          while (ei < node.size) {
-            val pos = positions(ei)
-            cost.add(w)
-            if (QueryCtx.entryLb(tab, words, pos * w, w) < bound) {
-              val d = ctx.realDist(index, pos, bound, cost)
-              nReal += 1
-              if (heap.offer(d, ids(pos))) bound = math.min(bound, heap.bound)
+          while (ei < size) { entryLbs(ei) = QueryCtx.entryLb(tab, words, positions(ei) * w, w); ei += 1 }
+          ei = 0
+          while (ei < size) {
+            if (!(entryLbs(ei) < bound)) ei += 1
+            else {
+              val pa = positions(ei)
+              // B: the next candidate under the bound A runs against
+              var ej = ei + 1
+              if (paired) while (ej < size && !(entryLbs(ej) < bound)) ej += 1
+              if (!paired || ej == size) {
+                val d = ctx.realDist(index, pa, bound, cost)
+                nReal += 1
+                if (heap.offer(d, ids(pa))) bound = math.min(bound, heap.bound)
+                ei += 1
+              } else {
+                val pb = positions(ej)
+                val speculated = bound
+                Distances.edEarlyAbandonPair(ctx.values, index.series(pa), index.series(pb), bound, lanes)
+                cost.add(lanes(1).toLong)
+                nReal += 1
+                if (heap.offer(lanes(0), ids(pa))) bound = math.min(bound, heap.bound)
+                if (entryLbs(ej) < bound) {
+                  val d =
+                    if (bound == speculated) { cost.add(lanes(3).toLong); lanes(2) }
+                    else ctx.realDist(index, pb, bound, cost)
+                  nReal += 1
+                  if (heap.offer(d, ids(pb))) bound = math.min(bound, heap.bound)
+                }
+                ei = ej + 1
+              }
             }
-            ei += 1
           }
         }
         li += 1

@@ -2,6 +2,7 @@ package repro.spark
 
 import scala.collection.immutable
 import org.apache.spark.TaskContext
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
@@ -54,24 +55,28 @@ object DistributedSearch {
       answer(_, queries, params, Map.empty))
   }
 
-  /** The cached chunk indexes of one build; only [[withIndexes]] makes one. */
-  final class ChunkIndexes private[DistributedSearch] (private[DistributedSearch] val rdd: RDD[IsaxIndex],
+  /** The cached chunk indexes of one build, and the broadcast chunk
+    * members they are built from; only [[withIndexes]] makes one.
+    */
+  final class ChunkIndexes private[DistributedSearch] (private[spark] val rdd: RDD[IsaxIndex],
+      private[spark] val members: Broadcast[Array[Array[Long]]],
       val spec: DatasetSpec, val chunking: Partitioner, val indexConfig: IndexConfig)
 
   /** The one build path: check on the driver that `chunking` has a chunk
-    * and the series length, take each chunk's ids from
+    * and the series length, broadcast each chunk's ids from
     * [[Partitioning.members]], hand the chunk indexes to `use`, built by the
-    * first job over them and reused by every later one, and release them
-    * afterwards, also when `use` throws.
+    * first job over them and reused by every later one, and release the
+    * indexes and the broadcast afterwards, also when `use` throws.
     */
   def withIndexes[T](spark: SparkSession, spec: DatasetSpec, chunking: Partitioner,
                      indexConfig: IndexConfig)(use: ChunkIndexes => T): T = {
     require(chunking.nChunks >= 1, s"partitioner ${chunking.name} has ${chunking.nChunks} chunks; it needs at least one")
     require(spec.length >= indexConfig.w,
       s"series of length ${spec.length} are shorter than the index's w = ${indexConfig.w} segments")
-    val members = Partitioning.members(chunking, spec.n)
-    val indexes = new ChunkIndexes(buildIndexes(spark, spec, members, indexConfig), spec, chunking, indexConfig)
-    try use(indexes) finally indexes.rdd.unpersist(blocking = true)
+    val members = spark.sparkContext.broadcast(Partitioning.members(chunking, spec.n))
+    val indexes = new ChunkIndexes(buildIndexes(spark, spec, chunking.nChunks, members, indexConfig),
+                                   members, spec, chunking, indexConfig)
+    try use(indexes) finally { indexes.rdd.unpersist(blocking = true); members.destroy() }
   }
 
   /** Every query must have `spec.length` values, all of them finite. */
@@ -82,24 +87,26 @@ object DistributedSearch {
     }
 
   /** Build one index per chunk, one task per chunk, cached in memory by the
-    * first job that uses it. Partition `c` holds the one element `(c,
-    * members(c))`, so each task hands `IsaxIndex.build` exactly the ids its
-    * chunk owns, in ascending order, and generates each series inside the
-    * build's parallel summarization (`SeriesGen.series` is a pure function
-    * of `(spec, id)`); the build inserts in that id order, on which leaf
-    * entry order, and so every op count, depends.
+    * first job that uses it. Partition `c` holds only the chunk number `c`,
+    * so a task of any job over the handle ships no ids; the build task reads
+    * `members(c)` from the broadcast and hands `IsaxIndex.build` exactly the
+    * ids its chunk owns, in ascending order, generating each series inside
+    * the build's parallel summarization (`SeriesGen.series` is a pure
+    * function of `(spec, id)`); the build inserts in that id order, on which
+    * leaf entry order, and so every op count, depends.
     */
-  private def buildIndexes(spark: SparkSession, spec: DatasetSpec, members: Array[Array[Long]],
-                           indexConfig: IndexConfig): RDD[IsaxIndex] =
-    spark.sparkContext.parallelize(members.indices.map(c => (c, members(c))), members.length)
-      .flatMap(new BuildTask(spec, indexConfig))
+  private def buildIndexes(spark: SparkSession, spec: DatasetSpec, nChunks: Int,
+                           members: Broadcast[Array[Array[Long]]], indexConfig: IndexConfig): RDD[IsaxIndex] =
+    spark.sparkContext.parallelize(0 until nChunks, nChunks)
+      .flatMap(new BuildTask(spec, indexConfig, members))
       .persist(StorageLevel.MEMORY_ONLY)
 
   /** One chunk's index, or none; named, like [[ChunkTask]], so its fields are all that ships. */
-  private final class BuildTask(spec: DatasetSpec, indexConfig: IndexConfig)
-      extends (((Int, Array[Long])) => Iterator[IsaxIndex]) with Serializable {
-    def apply(chunkIds: (Int, Array[Long])): Iterator[IsaxIndex] = {
-      val (chunk, ids) = chunkIds
+  private final class BuildTask(spec: DatasetSpec, indexConfig: IndexConfig,
+                                members: Broadcast[Array[Array[Long]]])
+      extends (Int => Iterator[IsaxIndex]) with Serializable {
+    def apply(chunk: Int): Iterator[IsaxIndex] = {
+      val ids = members.value(chunk)
       if (ids.isEmpty) Iterator.empty
       else Iterator.single(IsaxIndex.build(chunk, ids, i => SeriesGen.series(spec, ids(i)), indexConfig))
     }

@@ -40,6 +40,82 @@ class DistancesSpec extends AnyFunSuite {
     }
   }
 
+  /** Runs the paired kernel and checks each lane against [[Distances.edEarlyAbandon]]
+    * alone: the same distance bits and the same points. Returns the lanes.
+    */
+  private def pairMatchesSingles(q: Array[Double], a: Array[Double], b: Array[Double],
+                                 bound: Double): Array[Double] = {
+    val out = Array.fill(4)(Double.NaN)
+    Distances.edEarlyAbandonPair(q, a, b, bound, out)
+    for ((s, lane) <- Seq(a -> 0, b -> 2)) {
+      val c = new Cost
+      val d = Distances.edEarlyAbandon(q, s, bound, c)
+      assert(java.lang.Double.doubleToRawLongBits(out(lane)) == java.lang.Double.doubleToRawLongBits(d),
+             s"lane ${lane / 2}: ${out(lane)} vs $d (bound $bound, length ${q.length})")
+      assert(out(lane + 1) == c.ops.toDouble, s"lane ${lane / 2}: ${out(lane + 1)} points vs ${c.ops}")
+    }
+    out
+  }
+
+  test("paired ED equals two single runs under bounds of +inf and 0") {
+    for (len <- Seq(1, 2, 7, 64)) {
+      val q = rand(50 + len, len); val a = rand(51 + len, len); val b = rand(52 + len, len)
+      val loose = pairMatchesSingles(q, a, b, Double.PositiveInfinity)
+      assert(loose(1) == len && loose(3) == len)
+      val zero = pairMatchesSingles(q, a, b, 0.0)
+      assert(zero(0).isPosInfinity && zero(1) == 1 && zero(2).isPosInfinity && zero(3) == 1)
+    }
+    // a lane equal to the query never exceeds a zero bound
+    val q = rand(60, 5)
+    val same = pairMatchesSingles(q, q.clone(), rand(61, 5), 0.0)
+    assert(same(0) == 0.0 && same(1) == 5 && same(2).isPosInfinity)
+  }
+
+  test("paired ED keeps a lane whose distance equals the bound (the abandon test is strict)") {
+    val q = Array(0.0, 0.0); val a = Array(3.0, 4.0); val b = Array(4.0, 3.0)
+    val out = pairMatchesSingles(q, a, b, 5.0)
+    assert(out.toSeq == Seq(5.0, 2.0, 5.0, 2.0))
+    // the true distance of a random lane as the bound
+    val r = rand(62, 33); val s = rand(63, 33); val t = rand(64, 33)
+    pairMatchesSingles(r, s, t, Distances.ed(r, s))
+    pairMatchesSingles(r, s, t, Distances.ed(r, t))
+  }
+
+  test("paired ED abandons A only, B only, or both at the same point") {
+    val q = Array.fill(4)(0.0)
+    val far = Array(2.0, 2.0, 2.0, 2.0)  // squared prefix sums 4, 8, 12, 16
+    val near = Array(1.0, 0.0, 0.0, 0.0) // 1 throughout
+    val aOnly = pairMatchesSingles(q, far, near, 3.0)
+    assert(aOnly.toSeq == Seq(Double.PositiveInfinity, 3.0, 1.0, 4.0))
+    val bOnly = pairMatchesSingles(q, near, far, 3.0)
+    assert(bOnly.toSeq == Seq(1.0, 4.0, Double.PositiveInfinity, 3.0))
+    val both = pairMatchesSingles(q, far, Array(0.0, 0.0, 4.0, 0.0), 3.0)
+    assert(both.toSeq == Seq(Double.PositiveInfinity, 3.0, Double.PositiveInfinity, 3.0))
+  }
+
+  test("paired ED abandons at the first and at the last point") {
+    val q = Array.fill(4)(0.0)
+    val first = pairMatchesSingles(q, Array(5.0, 0.0, 0.0, 0.0), Array(1.0, 1.0, 1.0, 2.0), 2.5)
+    assert(first.toSeq == Seq(Double.PositiveInfinity, 1.0, Double.PositiveInfinity, 4.0))
+    val last = pairMatchesSingles(q, Array(1.0, 1.0, 1.0, 2.0), Array(0.0, 0.0, 0.0, 1.0), 2.5)
+    assert(last.toSeq == Seq(Double.PositiveInfinity, 4.0, 1.0, 4.0))
+  }
+
+  test("paired ED equals two single runs over generated pairs and bounds") {
+    val st = new Rng.Stream(65)
+    for (trial <- 0 until 400) {
+      val len = 1 + (st.nextGaussian().abs * 40).toInt
+      val q = Array.fill(len)(st.nextGaussian())
+      val a = Array.fill(len)(st.nextGaussian())
+      // every fourth B is A with one point moved, so both lanes run close
+      val b = if (trial % 4 == 0) { val c = a.clone(); c(len / 2) += st.nextGaussian(); c }
+              else Array.fill(len)(st.nextGaussian())
+      val da = Distances.ed(q, a); val db = Distances.ed(q, b)
+      for (bound <- Seq(Double.PositiveInfinity, 0.0, da, db, da * 0.5, db * 0.9, (da + db) / 2, math.nextUp(da)))
+        pairMatchesSingles(q, a, b, bound)
+    }
+  }
+
   test("envelope brackets the series and widens with the radius") {
     val q = rand(7, 100)
     var prevWidth = -1.0

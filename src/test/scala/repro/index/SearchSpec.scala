@@ -206,6 +206,29 @@ class SearchSpec extends AnyFunSuite {
     }
   }
 
+  // ---- degenerate inputs: duplicates and constant series share leaves ----
+  test("exact k-NN over duplicate and all-zero series equals brute force under the tie rule") {
+    val spec = presets.seismic(300)
+    val base = dataset(300, "Seismic")
+    // ids 300-399 copy series 0-99; ids 400-459 are all zeros, one leaf far over capacity
+    val data = base ++ base.take(100).map { case (id, v) => (id + 300, v.clone()) } ++
+      (400L until 460L).map(id => (id, new Array[Double](spec.length)))
+    val byId = data.toMap
+    val idx = IsaxIndex.build(data.iterator, IndexConfig(w = 8, leafCapacity = 8))
+    val queries = (0 until 4).map(SeriesGen.query(spec, _)) ++
+      Seq(base(7)._2, base(150)._2, new Array[Double](spec.length))
+    for (k <- Seq(1, 3); (query, q) <- queries.zipWithIndex) {
+      val brute = Search.bruteForce(data.iterator, query, k = k)
+      for (startBound <- Seq(Double.PositiveInfinity, math.nextUp(brute.last._1))) {
+        val got = Search.exact(idx, query, SearchParams(threshold = 4, k = k), startBound).topK
+        val where = s"k=$k q=$q start=$startBound: got $got, want $brute"
+        assert(got.map(_._1) == brute.map(_._1), where)
+        assert(got.map(_._2).distinct.length == k, where)
+        got.foreach { case (d, id) => assert(repro.core.Distances.ed(query, byId(id)) == d, where) }
+      }
+    }
+  }
+
   // ---- op-count regression: every QueryRun field over a fixed grid ----
   // `OpCountHash` hashes answers, op counts and queues over generated data.
   // It was last recorded when `Rng.Stream.nextGaussian` moved from Box–Muller

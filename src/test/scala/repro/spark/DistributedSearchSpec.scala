@@ -127,6 +127,36 @@ class DistributedSearchSpec extends SparkSpec {
     }
   }
 
+  test("a handle's partitions ship no ids, and nothing of the handle stays after the loan") {
+    // 200,000 ids in 4 chunks: 400 KB of ids a chunk if a partition carried them
+    val spec = presets.random(200000, length = 16)
+    def serializedBytes(o: AnyRef): Int = {
+      val bytes = new java.io.ByteArrayOutputStream
+      val out = new java.io.ObjectOutputStream(bytes)
+      out.writeObject(o); out.close()
+      bytes.size
+    }
+    val handle = DistributedSearch.withIndexes(spark, spec, Partitioning.RandomShuffle(4), IndexConfig()) { indexes =>
+      assert(indexes.rdd.partitions.length == 4)
+      indexes.rdd.partitions.foreach(p => assert(serializedBytes(p) < 1024, s"partition ${p.index}"))
+      assert(indexes.members.value.map(_.length).sum == spec.n)
+      indexes
+    }
+    assert(spark.sparkContext.getPersistentRDDs.isEmpty)
+    intercept[org.apache.spark.SparkException](handle.members.value)
+    // also when the loan throws, after a job built and used the indexes
+    val small = presets.random(300)
+    var thrown: DistributedSearch.ChunkIndexes = null
+    intercept[IllegalStateException](DistributedSearch.withIndexes(spark, small, Partitioning.RandomShuffle(2), IndexConfig()) { indexes =>
+      thrown = indexes
+      val reports = DistributedSearch.answer(indexes, SeriesGen.queries(small, 1), SearchParams(), Map.empty)
+      assert(reports.map(_.build.nSeries).sum == small.n)
+      throw new IllegalStateException("use failed")
+    })
+    assert(spark.sparkContext.getPersistentRDDs.isEmpty)
+    intercept[org.apache.spark.SparkException](thrown.members.value)
+  }
+
   test("thresholds option caps PQ sizes through the sigmoid model") {
     val n = 800
     val spec = presets.seismic(n)
