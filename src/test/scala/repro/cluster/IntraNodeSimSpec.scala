@@ -1,7 +1,6 @@
 package repro.cluster
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.cluster.IntraNodeSim.QueryWork
 import repro.index.{PqStat, QueryRun}
 import repro.spark.QueryStatRow
 
@@ -74,12 +73,13 @@ class IntraNodeSimSpec extends AnyFunSuite {
   }
 
   test("soloSecs sums the three phases") {
-    val qw = QueryWork(0, serialOps = 100000000L, traversalSecs = 0.5,
-      tasks = Vector(PqStat(0, 0.0, 1, 160000000L)), batchOps = Array(1L))
+    // one batch of 2.5e8 ops, helped by HelpTH + 1 = 5 threads: 0.5 s
+    val row = QueryStatRow(0, Nil, Nil, approxBsf = 0.0, approxOps = 100000000L, batchOps = Seq(250000000L),
+                           tasks = Seq(PqStat(0, 0.0, 1, 160000000L)), totalOps = 510000000L, nRealDists = 0L)
     val t = 16
     val expected = CostModel.serialSecs(100000000L) + 0.5 +
       ListSchedule.makespan(Seq(CostModel.serialSecs(160000000L)), t)
-    assert(math.abs(ListSchedule.soloSecs(qw, t) - expected) < 1e-12)
+    assert(math.abs(ListSchedule.soloSecs(row, t) - expected) < 1e-12)
   }
 
   test("cost model constants convert ops to seconds") {

@@ -1,6 +1,6 @@
 package repro.cluster
 
-import repro.cluster.IntraNodeSim.QueryWork
+import repro.spark.QueryStatRow
 
 /** The reference model [[StealSim]] is checked against: a node's threads
   * pull atomic tasks in order, each task going to the thread free first.
@@ -18,8 +18,10 @@ object ListSchedule {
     clocks.max
   }
 
-  /** Undisturbed single-node execution time of `qw` on `threads` threads. */
-  def soloSecs(qw: QueryWork, threads: Int): Double =
+  /** Undisturbed single-node execution time of `row` on `threads` threads. */
+  def soloSecs(row: QueryStatRow, threads: Int): Double = {
+    val qw = IntraNodeSim.plan(row, threads)
     CostModel.serialSecs(qw.serialOps) + qw.traversalSecs +
       makespan(qw.tasks.map(t => CostModel.serialSecs(t.procOps)), threads)
+  }
 }

@@ -3,29 +3,30 @@ package repro.cluster
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
-import repro.cluster.IntraNodeSim.QueryWork
 import repro.core.SeriesGen
 import repro.core.SeriesGen.presets
 import repro.index.{IndexConfig, IsaxIndex, PqStat, QueryRun, Search, SearchParams}
 import repro.spark.{ChunkReport, QueryStatRow}
 
 /** Pins the driver-side simulator the way `SearchSpec`'s `OpCountHash`
-  * pins the search: every field of every `RunResult` that
-  * `OdysseyCluster.simulate` gives over local measurements of a small
-  * collection, and every field of every `GroupResult` that
-  * `StealSim.simulate` gives over fixed-seed generated groups, folded into
-  * one constant. No Spark session: the chunk reports come from
+  * pins the search, in two constants: `ReportsHash` folds every field of
+  * every `RunResult` that `OdysseyCluster.simulate` gives over local
+  * measurements of a small collection, and `GroupsHash` every field of
+  * every `GroupResult` that `StealSim.simulate` gives over fixed-seed
+  * generated groups. No Spark session: the chunk reports come from
   * `Search.exact` on locally built chunk indexes. It also checks that the
   * benchmark's replay (`wallbench/Sim.scala`), which plans from
   * `QueryRun`s, gives the same groups as `simulate`, which plans from rows.
   */
 class SimulatorHashSpec extends AnyFunSuite {
 
-  // Refactors and speed-ups must keep it: the simulated tables are these
+  // Refactors and speed-ups must keep both: the simulated tables are these
   // runs' times. Only a change that sets out to alter the simulator, the
-  // cost model or the search records a new value (and re-records
-  // EXPERIMENTS.md).
-  private val SimulatorHash = 0xe99edea20df33d5dL
+  // cost model or the search records new values (and re-records
+  // EXPERIMENTS.md). The generated groups are rows as the pipeline collects
+  // them, so a query's traversal time follows from its `batchOps`.
+  private val ReportsHash = 0x7e5e541219b8ed3fL
+  private val GroupsHash = 0x8b4d5902d50c7362L
 
   private val n = 4096
   private val spec = presets.seismic(n)
@@ -80,22 +81,24 @@ class SimulatorHashSpec extends AnyFunSuite {
   /** The rescue scenario of `StealSimSpec`: one hard query of 256 fine
     * queues among trivial ones, so idle nodes steal many times.
     */
-  private def rescueWorks: Map[Int, QueryWork] =
+  private def rescueWorks: Map[Int, QueryStatRow] =
     (0 until 8).map { q =>
       val (nTasks, ops) = if (q == 0) (256, 25000000L) else (8, 2000000L)
-      q -> QueryWork(q, 0L, 0.0, Vector.tabulate(nTasks)(i => PqStat(i, i.toDouble, 1, ops)),
-                     Array.fill(nTasks)(ops / 10))
+      q -> QueryStatRow(q, Nil, Nil, approxBsf = 0.0, approxOps = 0L, batchOps = Seq.fill(nTasks)(ops / 10),
+                        tasks = Seq.tabulate(nTasks)(i => PqStat(i, i.toDouble, 1, ops)),
+                        totalOps = nTasks * (ops + ops / 10), nRealDists = 0L)
     }.toMap
 
   test("simulated runs and groups match the recorded hash") {
-    val hash = new Hash
+    val reportsHash = new Hash
     var runSteals = 0
     for ((part, reps) <- chunkReports; cfg <- configs(part)) {
       val r = OdysseyCluster.simulate(reps, cfg, model)
       runSteals += r.nSteals
-      fold(hash, r)
+      fold(reportsHash, r)
     }
 
+    val groupsHash = new Hash
     var maxGroupSteals = 0
     val generated = (0L until 300L).map(s => StealSimPropertiesSpec.genGroup.pureApply(Gen.Parameters.default, Seed(s)))
     val rescue = for (nNodes <- Seq(2, 4, 8); kind <- StealSimPropertiesSpec.kinds)
@@ -104,12 +107,13 @@ class SimulatorHashSpec extends AnyFunSuite {
     for (g <- generated ++ rescue) {
       val r = g.run()
       maxGroupSteals = math.max(maxGroupSteals, r.nSteals)
-      fold(hash, r)
+      fold(groupsHash, r)
     }
 
     assert(runSteals > 0, "no simulated run stole")
     assert(maxGroupSteals >= 10, s"no group stole many times (at most $maxGroupSteals)")
-    assert(hash.h == SimulatorHash, f"hash 0x${hash.h}%016xL")
+    assert(reportsHash.h == ReportsHash, f"reports hash 0x${reportsHash.h}%016xL")
+    assert(groupsHash.h == GroupsHash, f"groups hash 0x${groupsHash.h}%016xL")
   }
 
   /** A row as the `QueryRun` it was flattened from, field by field, as the

@@ -4,8 +4,8 @@ import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalacheck.rng.Seed
 import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
-import repro.cluster.IntraNodeSim.QueryWork
 import repro.index.PqStat
+import repro.spark.QueryStatRow
 import StealSimPropertiesSpec.{Group, genGroup, kinds}
 
 /** The simulator's laws, checked over generated replication groups. */
@@ -75,24 +75,27 @@ object StealSimPropertiesSpec {
 
   val kinds = Seq(Static, Dynamic, PredictStUnsorted, PredictSt, PredictDn)
 
-  /** One query: up to 40 PQ tasks over up to 6 RS-batches, in ascending
-    * top-lower-bound order as `Search.exact` emits them.
+  /** One query's row: up to 40 PQ tasks over up to 6 RS-batches, in
+    * ascending top-lower-bound order as `Search.exact` emits them. Its
+    * traversal time follows from its `batchOps`, as in every collected row;
+    * the answer fields stay blank, since the simulator does not read them.
     */
-  def genWork(qid: Int): Gen[QueryWork] = for {
-    serial    <- Gen.choose(0L, 10000000L)
-    traversal <- Gen.choose(0.0, 0.05)
+  def genWork(qid: Int): Gen[QueryStatRow] = for {
+    approxOps <- Gen.choose(0L, 10000000L)
     nBatches  <- Gen.choose(1, 6)
     batchOps  <- Gen.listOfN(nBatches, Gen.choose(0L, 5000000L))
     nTasks    <- Gen.choose(0, 40)
     tasks     <- Gen.listOfN(nTasks, Gen.zip(Gen.choose(0, nBatches - 1), Gen.choose(0L, 50000000L)))
-  } yield QueryWork(qid, serial, traversal,
-    tasks.zipWithIndex.map { case ((b, ops), i) => PqStat(b, i.toDouble, 1, ops) }.toVector,
-    batchOps.toArray)
+  } yield {
+    val pq = tasks.zipWithIndex.map { case ((b, ops), i) => PqStat(b, i.toDouble, 1, ops) }
+    QueryStatRow(qid, Nil, Nil, approxBsf = 0.0, approxOps = approxOps, batchOps = batchOps, tasks = pq,
+                 totalOps = approxOps + batchOps.sum + pq.map(_.procOps).sum, nRealDists = 0L)
+  }
 
   val genGroup: Gen[Group] = for {
     nNodes <- Gen.choose(1, 8)
     nQ     <- Gen.choose(0, 12)
-    works  <- Gen.sequence[List[QueryWork], QueryWork]((0 until nQ).map(genWork))
+    works  <- Gen.sequence[List[QueryStatRow], QueryStatRow]((0 until nQ).map(genWork))
     est    <- Gen.listOfN(nQ, Gen.choose(1.0, 100.0))
     kind   <- Gen.oneOf(kinds)
     steal  <- Gen.oneOf(true, false)
@@ -101,10 +104,11 @@ object StealSimPropertiesSpec {
                 kind, steal, seed)
 
   /** One replication group's input to [[StealSim.simulate]]. */
-  final case class Group(nNodes: Int, works: Map[Int, QueryWork], est: Map[Int, Double],
+  final case class Group(nNodes: Int, works: Map[Int, QueryStatRow], est: Map[Int, Double],
                          kind: SchedulerKind, steal: Boolean, seed: Long) {
     def run(): StealSim.GroupResult =
-      StealSim.simulate(nNodes, works, works.keys.toSeq.sorted, kind, est, steal, seed = seed)
-    def totalOps: Long = works.values.map(w => w.serialOps + w.pqOpsTotal).sum
+      StealSim.simulate(nNodes, works.view.mapValues(IntraNodeSim.plan(_, CostModel.ThreadsPerNode)).toMap,
+                        works.keys.toSeq.sorted, kind, est, steal, seed = seed)
+    def totalOps: Long = works.values.map(w => w.approxOps + w.tasks.map(_.procOps).sum).sum
   }
 }

@@ -1,21 +1,28 @@
 package repro.cluster
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.cluster.IntraNodeSim.QueryWork
 import repro.index.PqStat
+import repro.spark.QueryStatRow
 
 class StealSimSpec extends AnyFunSuite {
 
-  /** A query whose PQ phase holds `nTasks` tasks of `opsEach` ops. */
-  private def work(qid: Int, nTasks: Int, opsEach: Long,
-                   serial: Long = 0L, traversal: Double = 0.0): QueryWork =
-    QueryWork(qid, serial, traversal,
-      Vector.tabulate(nTasks)(i => PqStat(i, i.toDouble, 1, opsEach)),
-      Array.fill(nTasks)(opsEach / 10))
+  /** A query's row whose PQ phase holds `nTasks` tasks of `opsEach` ops,
+    * one per RS-batch, each batch traversed in a tenth of a task's ops.
+    */
+  private def work(qid: Int, nTasks: Int, opsEach: Long): QueryStatRow =
+    QueryStatRow(qid, Nil, Nil, approxBsf = 0.0, approxOps = 0L,
+                 batchOps = Seq.fill(nTasks)(opsEach / 10),
+                 tasks = Seq.tabulate(nTasks)(i => PqStat(i, i.toDouble, 1, opsEach)),
+                 totalOps = nTasks * (opsEach + opsEach / 10), nRealDists = 0L)
 
-  private def sim(nNodes: Int, works: Map[Int, QueryWork], kind: SchedulerKind = Static,
+  private def pqOps(row: QueryStatRow): Long = row.tasks.map(_.procOps).sum
+
+  private def planned(works: Map[Int, QueryStatRow]) =
+    works.view.mapValues(IntraNodeSim.plan(_, CostModel.ThreadsPerNode)).toMap
+
+  private def sim(nNodes: Int, works: Map[Int, QueryStatRow], kind: SchedulerKind = Static,
                   steal: Boolean = false, est: Int => Double = _ => 1.0) =
-    StealSim.simulate(nNodes, works, works.keys.toSeq.sorted, kind, est, steal)
+    StealSim.simulate(nNodes, planned(works), works.keys.toSeq.sorted, kind, est, steal)
 
   test("single node, no stealing: makespan is the serial chain of queries") {
     val works = Map(0 -> work(0, 4, 400000000L), 1 -> work(1, 4, 400000000L))
@@ -45,9 +52,9 @@ class StealSimSpec extends AnyFunSuite {
     val works = (0 until 8).map { q =>
       q -> work(q, 4, if (q == 7) 3200000000L else 100000000L)
     }.toMap
-    val est: Int => Double = q => works(q).pqOpsTotal.toDouble
-    val rd = StealSim.simulate(4, works, works.keys.toSeq.sorted, Dynamic, est, steal = false)
-    val rp = StealSim.simulate(4, works, works.keys.toSeq.sorted, PredictDn, est, steal = false)
+    val est: Int => Double = q => pqOps(works(q)).toDouble
+    val rd = StealSim.simulate(4, planned(works), works.keys.toSeq.sorted, Dynamic, est, steal = false)
+    val rp = StealSim.simulate(4, planned(works), works.keys.toSeq.sorted, PredictDn, est, steal = false)
     assert(rp.makespan < rd.makespan)
   }
 
@@ -58,30 +65,33 @@ class StealSimSpec extends AnyFunSuite {
     val works = (0 until 8).map { q =>
       q -> work(q, if (q == 0) 256 else 8, if (q == 0) 25000000L else 2000000L)
     }.toMap
-    val noSteal = StealSim.simulate(4, works, works.keys.toSeq.sorted, Dynamic, _ => 1.0, steal = false)
-    val withSteal = StealSim.simulate(4, works, works.keys.toSeq.sorted, Dynamic, _ => 1.0, steal = true)
+    val noSteal = StealSim.simulate(4, planned(works), works.keys.toSeq.sorted, Dynamic, _ => 1.0, steal = false)
+    val withSteal = StealSim.simulate(4, planned(works), works.keys.toSeq.sorted, Dynamic, _ => 1.0, steal = true)
     assert(withSteal.nSteals > 0)
     assert(withSteal.makespan < noSteal.makespan * 0.85,
            s"steal=${withSteal.makespan} nosteal=${noSteal.makespan}")
   }
 
   test("a victim about to end its query declines a thief that would end later") {
-    // one query's 17th queue waits for a free thread (0.01 s to 0.02 s); the
-    // other node idles from 0.009 s, but handshake + rebuild + the queue's
-    // 0.01 s would end it after 0.02 s, so taking the queue cannot help
+    // one query's 17th queue waits for a free thread (0.01 s to 0.02 s after
+    // its traversal of about 0.00106 s); the other node idles from about
+    // 0.0105 s, but handshake + rebuild + the queue's 0.01 s would end it
+    // after the victim's query, so taking the queue cannot help
     val opsEach = 1000000L // 500 handshakes' worth: the queue is no small one
-    val works = Map(0 -> work(0, CostModel.ThreadsPerNode + 1, opsEach), 1 -> work(1, 1, 900000L))
-    val noSteal = StealSim.simulate(2, works, Seq(0, 1), Dynamic, _ => 1.0, steal = false)
-    val withSteal = StealSim.simulate(2, works, Seq(0, 1), Dynamic, _ => 1.0, steal = true)
+    val victim = work(0, CostModel.ThreadsPerNode + 1, opsEach)
+    val works = Map(0 -> victim, 1 -> work(1, 1, 1030000L))
+    val noSteal = StealSim.simulate(2, planned(works), Seq(0, 1), Dynamic, _ => 1.0, steal = false)
+    val withSteal = StealSim.simulate(2, planned(works), Seq(0, 1), Dynamic, _ => 1.0, steal = true)
     assert(withSteal.nSteals == 0)
     assert(withSteal.makespan == noSteal.makespan)
-    assert(math.abs(noSteal.makespan - 0.02) < 1e-12)
+    val traversal = IntraNodeSim.traversalSecs(victim.batchOps.toArray, CostModel.ThreadsPerNode)
+    assert(math.abs(noSteal.makespan - (0.02 + traversal)) < 1e-12)
   }
 
   test("stealing never helps when work is already balanced (and never corrupts)") {
     val works = (0 until 16).map(q => q -> work(q, 4, 100000000L)).toMap
-    val ns = StealSim.simulate(4, works, works.keys.toSeq.sorted, Dynamic, _ => 1.0, steal = false)
-    val ws = StealSim.simulate(4, works, works.keys.toSeq.sorted, Dynamic, _ => 1.0, steal = true)
+    val ns = StealSim.simulate(4, planned(works), works.keys.toSeq.sorted, Dynamic, _ => 1.0, steal = false)
+    val ws = StealSim.simulate(4, planned(works), works.keys.toSeq.sorted, Dynamic, _ => 1.0, steal = true)
     assert(ws.makespan <= ns.makespan * 1.1 + 0.01) // at worst marginal overhead
   }
 
@@ -90,10 +100,10 @@ class StealSimSpec extends AnyFunSuite {
     val works = (0 until 8).map { q =>
       q -> work(q, if (q == 0) 256 else 8, if (q == 0) 25000000L else 2000000L)
     }.toMap
-    val a = StealSim.simulate(4, works, works.keys.toSeq.sorted, PredictDn,
-                              q => works(q).pqOpsTotal.toDouble, steal = true, seed = 5)
-    val b = StealSim.simulate(4, works, works.keys.toSeq.sorted, PredictDn,
-                              q => works(q).pqOpsTotal.toDouble, steal = true, seed = 5)
+    val a = StealSim.simulate(4, planned(works), works.keys.toSeq.sorted, PredictDn,
+                              q => pqOps(works(q)).toDouble, steal = true, seed = 5)
+    val b = StealSim.simulate(4, planned(works), works.keys.toSeq.sorted, PredictDn,
+                              q => pqOps(works(q)).toDouble, steal = true, seed = 5)
     assert(a.nSteals > 0)
     assert(a == b)
   }
@@ -102,13 +112,15 @@ class StealSimSpec extends AnyFunSuite {
     val works = (0 until 9).map(q => q -> work(q, 4, 70000000L)).toMap
     val r = sim(4, works, Dynamic)
     assert(r.perNodeFinish.forall(_ <= r.makespan + 1e-12))
-    val totalOps = works.values.map(w => w.serialOps + w.pqOpsTotal).sum
+    val totalOps = works.values.map(w => w.approxOps + pqOps(w)).sum
     assert(r.processedOps == totalOps)
   }
 
   test("serial and traversal phases delay the PQ phase") {
     val fast = sim(1, Map(0 -> work(0, 2, 100000000L)))
-    val slow = sim(1, Map(0 -> work(0, 2, 100000000L, serial = 200000000L, traversal = 1.5)))
+    // two batches of 7.5e8 ops: each helped by HelpTH + 1 = 5 threads, 1.5 s
+    val slowRow = work(0, 2, 100000000L).copy(approxOps = 200000000L, batchOps = Seq.fill(2)(750000000L))
+    val slow = sim(1, Map(0 -> slowRow))
     assert(slow.makespan > fast.makespan + 1.5)
   }
 
@@ -118,10 +130,10 @@ class StealSimSpec extends AnyFunSuite {
       val hard = if (rng.nextDouble() < 0.2) 10 else 1
       q -> work(q, 16, 20000000L * hard)
     }.toMap
-    val est: Int => Double = q => works(q).pqOpsTotal.toDouble
+    val est: Int => Double = q => pqOps(works(q)).toDouble
     var prev = Double.PositiveInfinity
     Seq(1, 2, 4, 8).foreach { n =>
-      val r = StealSim.simulate(n, works, works.keys.toSeq.sorted, PredictDn, est, steal = true)
+      val r = StealSim.simulate(n, planned(works), works.keys.toSeq.sorted, PredictDn, est, steal = true)
       assert(r.makespan <= prev * 1.05 + 1e-9, s"n=$n makespan=${r.makespan} prev=$prev")
       prev = r.makespan
     }
