@@ -47,16 +47,17 @@ final case class ClusterConfig(
   def nSend: Int = StealSim.NSend
 }
 
-/** Everything an experiment needs: exact answers, the measured chunk
-  * reports and each replication group's simulation, in chunk order. The
+/** Everything an experiment needs: the measured chunk reports and each
+  * replication group's simulation, in chunk order. The exact answers, the
   * three simulated times of the paper's evaluation (buffer, tree, query
   * answering) and the other totals are derived from those records.
   */
 final case class RunResult(
     config: ClusterConfig,
-    answers: Map[Int, List[(Double, Long)]],
     reports: Seq[ChunkReport],
     groups: Seq[StealSim.GroupResult]) {
+  /** Stage 5: exact global answers, the chunks' top-k lists merged. */
+  lazy val answers: Map[Int, List[(Double, Long)]] = DistributedSearch.mergeAnswers(reports, config.params.k)
   /** The slowest chunk's summarization, its nodes' threads sharing the work. */
   def bufferSecs: Double = reports.map(r => CostModel.parallelSecs(r.build.bufferOps, config.threads)).max
   /** The slowest chunk's tree inserts, its nodes' threads sharing the work. */
@@ -137,12 +138,14 @@ object OdysseyCluster {
   def firstQueries(reports: Seq[ChunkReport], m: Int): Seq[ChunkReport] =
     reports.map(r => r.copy(queries = r.queries.take(m)))
 
-  /** Stages 3 and 5 and the timing, on the driver, from measured reports: a
-    * pure function that runs no Spark job. It reads `cfg.layout`, `scheduler`,
-    * `steal` and `params.k`; `reports` must
-    * come from [[measure]] under a config that agrees with `cfg` on what
-    * `measure` reads; it refuses no reports, or a chunk outside `cfg.layout`.
-    * With a PREDICT-* scheduler and no `predictor`, every estimate is 1.0.
+  /** Stage 3 and the timing, on the driver, from measured reports: a pure
+    * function that runs no Spark job, whose result merges the answers
+    * (stage 5) when they are first read. It reads `cfg.layout`, `scheduler`,
+    * `steal` and `params.k`; `reports` must come from [[measure]] under a
+    * config that agrees with `cfg` on what `measure` reads. It refuses no
+    * reports, a chunk outside `cfg.layout`, and a report whose queries are
+    * not the first report's, in order. With a PREDICT-* scheduler and no
+    * `predictor`, every estimate is 1.0.
     */
   def simulate(reports: Seq[ChunkReport], cfg: ClusterConfig,
                predictor: Option[Prediction.LinearModel] = None): RunResult = {
@@ -151,16 +154,19 @@ object OdysseyCluster {
       s"reports of chunks [${chunks.mkString(", ")}]; config: ${cfg.layout.nChunks} chunks")
     val degree = cfg.layout.degree
     val qids = reports.head.queries.map(_.qid)
+    reports.foreach { rep =>
+      val own = rep.queries.map(_.qid)
+      require(own == qids, s"chunk ${rep.build.chunk} reports queries [${own.mkString(", ")}]; " +
+        s"chunk ${reports.head.build.chunk} reports [${qids.mkString(", ")}]")
+    }
     // Stage 3: schedule and steal inside each replication group.
     val groups = reports.map { rep =>
       val byQid = rep.queries.map(q => q.qid -> q).toMap
-      val works = byQid.view.mapValues(IntraNodeSim.plan(_, cfg.threads)).toMap
       val est: Int => Double = q => predictor.map(_.predict(byQid(q).approxBsf)).getOrElse(1.0)
-      StealSim.simulate(degree, works, qids, cfg.scheduler, est, steal = cfg.steal && degree > 1,
+      StealSim.simulate(degree, byQid, qids, cfg.scheduler, est, steal = cfg.steal && degree > 1,
                         nSend = cfg.nSend, threads = cfg.threads, seed = 77L + rep.build.chunk)
     }
-    // Stage 5: exact global answers by merging per-chunk top-k lists.
-    RunResult(cfg, DistributedSearch.mergeAnswers(reports, cfg.params.k), reports, groups)
+    RunResult(cfg, reports, groups)
   }
 
   /** The training pass of the predictor and TH fits: `nTrain` training

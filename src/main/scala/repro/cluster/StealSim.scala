@@ -1,12 +1,25 @@
 package repro.cluster
 
 import scala.collection.mutable
-import repro.cluster.IntraNodeSim.QueryWork
 import repro.core.Rng
 import repro.index.PqStat
+import repro.spark.QueryStatRow
 
 /** Event-driven simulation of one replication group answering a query
-  * batch (§3.1 scheduling + §3.2.2 work stealing).
+  * batch (§3.1 scheduling + §3.2.2 work stealing), straight from the rows
+  * the Spark job collected: the one place that knows a query's simulated
+  * time. Every node in the group holds the same chunk, so a query's row is
+  * the same for every member, and a node spends three phases on it (§3.2.1):
+  *
+  *  - the initial-BSF approximate search, `approxOps`, is sequential;
+  *  - the tree traversal, `batchOps`, runs one thread per RS-batch with
+  *    helping capped at HelpTH extra threads per batch ([[traversalSecs]]);
+  *  - the PQ processing, `tasks`, list-schedules the atomic PQ tasks in
+  *    sorted order onto the node's threads — this is where the threshold TH
+  *    earns its keep (few huge queues => one thread drags the phase).
+  *
+  * The first two phases are opaque busy intervals; a PQ task is stealable
+  * while it has not started yet.
   *
   * Each node serves its query queue from [[Scheduling.queues]]: a static
   * scheduler gives every node its own queue, a dynamic one lets all nodes
@@ -14,23 +27,15 @@ import repro.index.PqStat
   * to steal (when stealing is on); a node that can do neither gets no
   * further event.
   *
-  * Every node in the group holds the same chunk, so each query's execution
-  * plan ([[IntraNodeSim.QueryWork]]) is identical across members. The
-  * serial + traversal phases are opaque busy intervals. The PQ-processing
-  * phase is *task-granular*: PQ tasks are list-scheduled in sorted order
-  * onto the node's threads (so an undisturbed query takes its serial and
-  * traversal time plus the list-scheduled makespan of its tasks), and a
-  * task is stealable while it has not started yet.
-  *
   * Stealing follows Algorithms 3-4: an idle node picks a random still-active
   * victim; the victim gives away the queues of up to `nSend` RS-batches that
   * satisfy the Take-Away property (rightmost = largest top lower bound =
   * most likely still unprocessed) and drops every pending queue of them, so
   * a stolen batch is never pending, nor stolen, again; the thief
-  * re-traverses those batches on its own index replica (rebuild cost) and
-  * processes them on its own threads. The victim declines (gives nothing)
-  * when the thief, after handshake, rebuild and processing, would end no
-  * earlier than the victim's query would without the steal.
+  * re-traverses those batches on its own index replica (rebuild cost: their
+  * `batchOps`) and processes them on its own threads. The victim declines
+  * (gives nothing) when the thief, after handshake, rebuild and processing,
+  * would end no earlier than the victim's query would without the steal.
   */
 object StealSim {
 
@@ -42,6 +47,19 @@ object StealSim {
 
   /** N_send: RS-batches a victim gives away per steal (§3.2.2). */
   val NSend: Int = 4
+
+  /** Extra threads that may help traverse one RS-batch (§3.2.1). */
+  val HelpTH = 4
+
+  /** Traversal-phase makespan with RS-batch helping (Algorithm 2, lines
+    * 11-14): at least total/threads, and at least the largest batch split
+    * HelpTH+1 ways.
+    */
+  def traversalSecs(batchOps: Seq[Long], threads: Int): Double = {
+    if (batchOps.isEmpty) return 0.0
+    math.max(CostModel.parallelSecs(batchOps.sum, threads),
+             CostModel.parallelSecs(batchOps.max, math.min(threads, 1 + HelpTH)))
+  }
 
   /** @param perNodeFinish when each node of the group last ran a query or a
     *                     steal
@@ -71,8 +89,8 @@ object StealSim {
     slots.result()
   }
 
-  private final class Running(val qw: QueryWork, val pqStart: Double, threads: Int) {
-    var slots: Vector[Slot] = schedule(qw.tasks, Array.fill(threads)(pqStart))
+  private final class Running(val row: QueryStatRow, val pqStart: Double, threads: Int) {
+    var slots: Vector[Slot] = schedule(row.tasks, Array.fill(threads)(pqStart))
     def finish: Double = if (slots.isEmpty) pqStart else slots.map(_.end).max
 
     /** Slots not yet started at `t` (stealable region). */
@@ -97,13 +115,14 @@ object StealSim {
     var lastActive: Double = 0.0
   }
 
-  /** Simulate a group of `nNodes` nodes answering `works` (indexed by qid).
+  /** Simulate a group of `nNodes` nodes answering `works`, each query's
+    * row on the group's chunk, keyed by qid.
     *
     * @param kind  scheduler: the nodes' queues come from [[Scheduling.queues]]
     * @param est   predicted cost per query (used by PREDICT-* kinds)
     * @param steal enable inter-node work stealing
     */
-  def simulate(nNodes: Int, works: Map[Int, QueryWork], qids: Seq[Int],
+  def simulate(nNodes: Int, works: Map[Int, QueryStatRow], qids: Seq[Int],
                kind: SchedulerKind, est: Int => Double,
                steal: Boolean, nSend: Int = NSend,
                threads: Int = CostModel.ThreadsPerNode,
@@ -122,12 +141,12 @@ object StealSim {
 
     def startQuery(n: Int, t: Double, qid: Int): Unit = {
       val st = nodes(n)
-      val qw = works(qid)
-      val pqStart = t + CostModel.serialSecs(qw.serialOps) + qw.traversalSecs
-      st.current = new Running(qw, pqStart, threads)
+      val row = works(qid)
+      val pqStart = t + CostModel.serialSecs(row.approxOps) + traversalSecs(row.batchOps, threads)
+      st.current = new Running(row, pqStart, threads)
       st.version += 1
       st.lastActive = st.current.finish
-      processedOps += qw.serialOps + qw.pqOpsTotal
+      processedOps += row.approxOps + row.tasks.iterator.map(_.procOps).sum
       events.enqueue((st.lastActive, n, st.version))
     }
 
@@ -147,7 +166,7 @@ object StealSim {
       val taken = pending.filter(s => chosen(s.task.batchId)).map(_.task)
       // thief: handshake + rebuild of the stolen batches + processing,
       // list-scheduled on its own threads (`pending` is non-empty, so is `taken`)
-      val rebuild = chosen.iterator.map(r.qw.batchOps(_)).sum
+      val rebuild = chosen.iterator.map(r.row.batchOps(_)).sum
       val serialPart = CostModel.serialSecs(HandshakeOps + rebuild)
       val busyUntil = schedule(taken, Array.fill(threads)(t + serialPart)).map(_.end).max
       // profitability: a thief that would end no earlier than the victim's

@@ -11,9 +11,12 @@ import repro.core.{Cost, SeriesGen}
 import repro.core.SeriesGen.DatasetSpec
 import repro.index.{BuildStats, IndexConfig, IsaxIndex, PqStat, QueryCtx, QueryRun, Search, SearchParams}
 
-/** Per-(chunk, query) measurement: the local answer plus the op breakdown
-  * the cluster simulator needs. `tasks` are the run's processed priority
-  * queues, in processed order, as `Search.exact` recorded them.
+/** Per-(chunk, query) measurement: the local answer plus the op breakdown,
+  * and the row the simulator reads. [[repro.cluster.StealSim]] charges
+  * `approxOps` serially, the RS-batch traversal from `batchOps` (also a
+  * thief's rebuild cost), and list-schedules `tasks`, the run's processed
+  * priority queues in processed order as `Search.exact` recorded them; the
+  * PREDICT-* estimates read `approxBsf`, and the merge `topKDists`/`topKIds`.
   */
 final case class QueryStatRow(
     qid: Int, topKDists: Seq[Double], topKIds: Seq[Long],

@@ -37,39 +37,25 @@ class IntraNodeSimSpec extends AnyFunSuite {
   }
 
   test("traversal time respects both the parallel and the helping bound") {
-    val ops = Array(1000000L, 1000000L, 1000000L, 1000000L)
-    val secs = IntraNodeSim.traversalSecs(ops, 8)
+    val ops = Seq(1000000L, 1000000L, 1000000L, 1000000L)
+    val secs = StealSim.traversalSecs(ops, 8)
     assert(secs >= CostModel.parallelSecs(ops.sum, 8) - 1e-15)
-    val skew = Array(80000000L, 1000L)
-    val s2 = IntraNodeSim.traversalSecs(skew, 16)
+    val skew = Seq(80000000L, 1000L)
+    val s2 = StealSim.traversalSecs(skew, 16)
     // a single huge batch can only be helped by HelpTH + 1 threads
-    assert(s2 >= CostModel.parallelSecs(80000000L, IntraNodeSim.HelpTH + 1) - 1e-15)
+    assert(s2 >= CostModel.parallelSecs(80000000L, StealSim.HelpTH + 1) - 1e-15)
   }
 
   test("traversal time of an empty batch set is zero") {
-    assert(IntraNodeSim.traversalSecs(Array.empty, 8) == 0.0)
+    assert(StealSim.traversalSecs(Nil, 8) == 0.0)
   }
 
   test("plan maps a QueryRun faithfully") {
     val run = QueryRun(List((1.0, 7L)), 2.0, 500L, Array(100L, 200L),
       Array(PqStat(0, 0.5, 3, 1000L), PqStat(1, 0.9, 2, 2000L)), 3700L, 5, 2)
-    val qw = IntraNodeSim.plan(3, run)
-    assert(qw.qid == 3)
-    assert(qw.serialOps == 500L)
-    assert(qw.tasks == run.pqStats.toVector)
-    assert(qw.batchOps.toSeq == Seq(100L, 200L))
-    assert(qw.pqOpsTotal == 3000L)
-    // the row form carries the row's fields; the run form is the plan of its row at 16 threads
-    val row = QueryStatRow.of(3, run)
-    for (t <- Seq(1, 4, 16)) {
-      val fromRow = IntraNodeSim.plan(row, t)
-      assert((fromRow.qid, fromRow.serialOps, fromRow.tasks) == (row.qid, row.approxOps, row.tasks))
-      assert(fromRow.batchOps.toSeq == row.batchOps)
-      assert(fromRow.traversalSecs == IntraNodeSim.traversalSecs(row.batchOps.toArray, t))
-    }
-    val at16 = IntraNodeSim.plan(row, 16)
-    assert((qw.qid, qw.serialOps, qw.traversalSecs, qw.tasks) == (at16.qid, at16.serialOps, at16.traversalSecs, at16.tasks))
-    assert(qw.batchOps.sameElements(at16.batchOps))
+    // the plan of a run is the run's row, whatever the thread count
+    assert(IntraNodeSim.plan(3, run) == QueryStatRow.of(3, run))
+    for (t <- Seq(1, 4, 16)) assert(IntraNodeSim.plan(3, run, t) == QueryStatRow.of(3, run))
   }
 
   test("soloSecs sums the three phases") {

@@ -19,9 +19,7 @@ object ListSchedule {
   }
 
   /** Undisturbed single-node execution time of `row` on `threads` threads. */
-  def soloSecs(row: QueryStatRow, threads: Int): Double = {
-    val qw = IntraNodeSim.plan(row, threads)
-    CostModel.serialSecs(qw.serialOps) + qw.traversalSecs +
-      makespan(qw.tasks.map(t => CostModel.serialSecs(t.procOps)), threads)
-  }
+  def soloSecs(row: QueryStatRow, threads: Int): Double =
+    CostModel.serialSecs(row.approxOps) + StealSim.traversalSecs(row.batchOps, threads) +
+      makespan(row.tasks.map(t => CostModel.serialSecs(t.procOps)), threads)
 }

@@ -14,9 +14,11 @@ import repro.spark.{ChunkReport, QueryStatRow}
   * measurements of a small collection, and `GroupsHash` every field of
   * every `GroupResult` that `StealSim.simulate` gives over fixed-seed
   * generated groups. No Spark session: the chunk reports come from
-  * `Search.exact` on locally built chunk indexes. It also checks that the
-  * benchmark's replay (`wallbench/Sim.scala`), which plans from
-  * `QueryRun`s, gives the same groups as `simulate`, which plans from rows.
+  * `Search.exact` on locally built chunk indexes. It also checks which
+  * fields of a row the simulator reads, that `simulate` refuses reports
+  * whose rows disagree, and that the benchmark's replay
+  * (`wallbench/Sim.scala`), which turns `QueryRun`s back into rows, gives
+  * the same groups as `simulate`.
   */
 class SimulatorHashSpec extends AnyFunSuite {
 
@@ -116,6 +118,46 @@ class SimulatorHashSpec extends AnyFunSuite {
     assert(groupsHash.h == GroupsHash, f"groups hash 0x${groupsHash.h}%016xL")
   }
 
+  private def label(part: Partitioner, cfg: ClusterConfig): String =
+    s"${part.name} of ${part.nChunks} chunks, degree ${cfg.layout.degree}, ${cfg.scheduler.name}, steal=${cfg.steal}"
+
+  /** `reps` with query `qid`'s row on the last chunk replaced by `f` of it. */
+  private def lastChunkRow(reps: Seq[ChunkReport], qid: Int)(f: QueryStatRow => QueryStatRow): Seq[ChunkReport] =
+    reps.init :+ reps.last.copy(queries = reps.last.queries.map(q => if (q.qid == qid) f(q) else q))
+
+  test("groups read a row's approxOps, batchOps and tasks, not its answer or its totals") {
+    for ((part, reps) <- chunkReports; cfg <- configs(part)) {
+      val groups = OdysseyCluster.simulate(reps, cfg, model).groups
+      val blank = reps.map(r => r.copy(queries = r.queries.map(
+        _.copy(topKDists = Nil, topKIds = Nil, totalOps = 0L, nRealDists = 0L))))
+      assert(OdysseyCluster.simulate(blank, cfg, model).groups == groups, label(part, cfg))
+      // not vacuous: one more approximate op, or one batch grown past the
+      // others, moves the last chunk's group and no other. Only without
+      // stealing: a steal that lands in the victim's traversal reschedules
+      // the victim's queues from that instant, which can hide a longer one.
+      if (!cfg.steal) {
+        val approx = lastChunkRow(reps, 5)(q => q.copy(approxOps = q.approxOps + 1))
+        val batch = lastChunkRow(reps, 5)(q => q.copy(batchOps = q.batchOps.updated(0, 10 * q.batchOps.max + 1)))
+        for (changed <- Seq(approx, batch)) {
+          val moved = OdysseyCluster.simulate(changed, cfg, model).groups
+          assert(moved.init == groups.init && moved.last != groups.last, label(part, cfg))
+        }
+      }
+    }
+  }
+
+  test("simulate refuses reports whose query rows disagree, naming the chunk") {
+    val (part, reps) = chunkReports.find(_._1.nChunks == 2).get
+    val second = reps(1)
+    val missing = second.copy(queries = second.queries.patch(3, Nil, 1))
+    val extra = second.copy(queries = second.queries :+ second.queries.head.copy(qid = queries.length))
+    for (bad <- Seq(missing, extra)) {
+      val e = intercept[IllegalArgumentException](OdysseyCluster.simulate(reps.updated(1, bad), configs(part).head, model))
+      assert(e.getMessage.contains(s"chunk ${second.build.chunk} reports queries") &&
+             e.getMessage.contains(s"chunk ${reps.head.build.chunk} reports"), e.getMessage)
+    }
+  }
+
   /** A row as the `QueryRun` it was flattened from, field by field, as the
     * benchmark's replay rebuilds it.
     */
@@ -137,8 +179,7 @@ class SimulatorHashSpec extends AnyFunSuite {
                           nSend = cfg.nSend, threads = cfg.threads, seed = 77L + rep.build.chunk)
       }
       steals += replayed.map(_.nSteals).sum
-      assert(replayed == OdysseyCluster.simulate(reps, cfg, model).groups,
-             s"${part.name} of ${part.nChunks} chunks, degree $degree, ${cfg.scheduler.name}, steal=${cfg.steal}")
+      assert(replayed == OdysseyCluster.simulate(reps, cfg, model).groups, label(part, cfg))
     }
     assert(steals > 0, "no replayed group stole")
   }

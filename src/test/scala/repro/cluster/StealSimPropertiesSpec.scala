@@ -107,8 +107,7 @@ object StealSimPropertiesSpec {
   final case class Group(nNodes: Int, works: Map[Int, QueryStatRow], est: Map[Int, Double],
                          kind: SchedulerKind, steal: Boolean, seed: Long) {
     def run(): StealSim.GroupResult =
-      StealSim.simulate(nNodes, works.view.mapValues(IntraNodeSim.plan(_, CostModel.ThreadsPerNode)).toMap,
-                        works.keys.toSeq.sorted, kind, est, steal, seed = seed)
+      StealSim.simulate(nNodes, works, works.keys.toSeq.sorted, kind, est, steal, seed = seed)
     def totalOps: Long = works.values.map(w => w.approxOps + w.tasks.map(_.procOps).sum).sum
   }
 }

@@ -17,12 +17,9 @@ class StealSimSpec extends AnyFunSuite {
 
   private def pqOps(row: QueryStatRow): Long = row.tasks.map(_.procOps).sum
 
-  private def planned(works: Map[Int, QueryStatRow]) =
-    works.view.mapValues(IntraNodeSim.plan(_, CostModel.ThreadsPerNode)).toMap
-
   private def sim(nNodes: Int, works: Map[Int, QueryStatRow], kind: SchedulerKind = Static,
                   steal: Boolean = false, est: Int => Double = _ => 1.0) =
-    StealSim.simulate(nNodes, planned(works), works.keys.toSeq.sorted, kind, est, steal)
+    StealSim.simulate(nNodes, works, works.keys.toSeq.sorted, kind, est, steal)
 
   test("single node, no stealing: makespan is the serial chain of queries") {
     val works = Map(0 -> work(0, 4, 400000000L), 1 -> work(1, 4, 400000000L))
@@ -53,8 +50,8 @@ class StealSimSpec extends AnyFunSuite {
       q -> work(q, 4, if (q == 7) 3200000000L else 100000000L)
     }.toMap
     val est: Int => Double = q => pqOps(works(q)).toDouble
-    val rd = StealSim.simulate(4, planned(works), works.keys.toSeq.sorted, Dynamic, est, steal = false)
-    val rp = StealSim.simulate(4, planned(works), works.keys.toSeq.sorted, PredictDn, est, steal = false)
+    val rd = StealSim.simulate(4, works, works.keys.toSeq.sorted, Dynamic, est, steal = false)
+    val rp = StealSim.simulate(4, works, works.keys.toSeq.sorted, PredictDn, est, steal = false)
     assert(rp.makespan < rd.makespan)
   }
 
@@ -65,8 +62,8 @@ class StealSimSpec extends AnyFunSuite {
     val works = (0 until 8).map { q =>
       q -> work(q, if (q == 0) 256 else 8, if (q == 0) 25000000L else 2000000L)
     }.toMap
-    val noSteal = StealSim.simulate(4, planned(works), works.keys.toSeq.sorted, Dynamic, _ => 1.0, steal = false)
-    val withSteal = StealSim.simulate(4, planned(works), works.keys.toSeq.sorted, Dynamic, _ => 1.0, steal = true)
+    val noSteal = StealSim.simulate(4, works, works.keys.toSeq.sorted, Dynamic, _ => 1.0, steal = false)
+    val withSteal = StealSim.simulate(4, works, works.keys.toSeq.sorted, Dynamic, _ => 1.0, steal = true)
     assert(withSteal.nSteals > 0)
     assert(withSteal.makespan < noSteal.makespan * 0.85,
            s"steal=${withSteal.makespan} nosteal=${noSteal.makespan}")
@@ -80,18 +77,18 @@ class StealSimSpec extends AnyFunSuite {
     val opsEach = 1000000L // 500 handshakes' worth: the queue is no small one
     val victim = work(0, CostModel.ThreadsPerNode + 1, opsEach)
     val works = Map(0 -> victim, 1 -> work(1, 1, 1030000L))
-    val noSteal = StealSim.simulate(2, planned(works), Seq(0, 1), Dynamic, _ => 1.0, steal = false)
-    val withSteal = StealSim.simulate(2, planned(works), Seq(0, 1), Dynamic, _ => 1.0, steal = true)
+    val noSteal = StealSim.simulate(2, works, Seq(0, 1), Dynamic, _ => 1.0, steal = false)
+    val withSteal = StealSim.simulate(2, works, Seq(0, 1), Dynamic, _ => 1.0, steal = true)
     assert(withSteal.nSteals == 0)
     assert(withSteal.makespan == noSteal.makespan)
-    val traversal = IntraNodeSim.traversalSecs(victim.batchOps.toArray, CostModel.ThreadsPerNode)
+    val traversal = StealSim.traversalSecs(victim.batchOps, CostModel.ThreadsPerNode)
     assert(math.abs(noSteal.makespan - (0.02 + traversal)) < 1e-12)
   }
 
   test("stealing never helps when work is already balanced (and never corrupts)") {
     val works = (0 until 16).map(q => q -> work(q, 4, 100000000L)).toMap
-    val ns = StealSim.simulate(4, planned(works), works.keys.toSeq.sorted, Dynamic, _ => 1.0, steal = false)
-    val ws = StealSim.simulate(4, planned(works), works.keys.toSeq.sorted, Dynamic, _ => 1.0, steal = true)
+    val ns = StealSim.simulate(4, works, works.keys.toSeq.sorted, Dynamic, _ => 1.0, steal = false)
+    val ws = StealSim.simulate(4, works, works.keys.toSeq.sorted, Dynamic, _ => 1.0, steal = true)
     assert(ws.makespan <= ns.makespan * 1.1 + 0.01) // at worst marginal overhead
   }
 
@@ -100,9 +97,9 @@ class StealSimSpec extends AnyFunSuite {
     val works = (0 until 8).map { q =>
       q -> work(q, if (q == 0) 256 else 8, if (q == 0) 25000000L else 2000000L)
     }.toMap
-    val a = StealSim.simulate(4, planned(works), works.keys.toSeq.sorted, PredictDn,
+    val a = StealSim.simulate(4, works, works.keys.toSeq.sorted, PredictDn,
                               q => pqOps(works(q)).toDouble, steal = true, seed = 5)
-    val b = StealSim.simulate(4, planned(works), works.keys.toSeq.sorted, PredictDn,
+    val b = StealSim.simulate(4, works, works.keys.toSeq.sorted, PredictDn,
                               q => pqOps(works(q)).toDouble, steal = true, seed = 5)
     assert(a.nSteals > 0)
     assert(a == b)
@@ -133,7 +130,7 @@ class StealSimSpec extends AnyFunSuite {
     val est: Int => Double = q => pqOps(works(q)).toDouble
     var prev = Double.PositiveInfinity
     Seq(1, 2, 4, 8).foreach { n =>
-      val r = StealSim.simulate(n, planned(works), works.keys.toSeq.sorted, PredictDn, est, steal = true)
+      val r = StealSim.simulate(n, works, works.keys.toSeq.sorted, PredictDn, est, steal = true)
       assert(r.makespan <= prev * 1.05 + 1e-9, s"n=$n makespan=${r.makespan} prev=$prev")
       prev = r.makespan
     }
