@@ -133,8 +133,9 @@ class SimulatorHashSpec extends AnyFunSuite {
       assert(OdysseyCluster.simulate(blank, cfg, model).groups == groups, label(part, cfg))
       // not vacuous: one more approximate op, or one batch grown past the
       // others, moves the last chunk's group and no other. Only without
-      // stealing: a steal that lands in the victim's traversal reschedules
-      // the victim's queues from that instant, which can hide a longer one.
+      // stealing, which can absorb a longer traversal: a thief that idled
+      // steals when its victim's timeline lets it, and a steal that lands
+      // in the victim's traversal reschedules the victim's queues from then.
       if (!cfg.steal) {
         val approx = lastChunkRow(reps, 5)(q => q.copy(approxOps = q.approxOps + 1))
         val batch = lastChunkRow(reps, 5)(q => q.copy(batchOps = q.batchOps.updated(0, 10 * q.batchOps.max + 1)))
